@@ -1,4 +1,4 @@
-// Package wiresym seeds one encode/decode drift among symmetric pairs,
+// Package wiresym seeds encode/decode drifts among symmetric pairs,
 // including a pair whose ops hide behind a cross-package helper.
 package wiresym
 

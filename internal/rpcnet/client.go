@@ -9,6 +9,7 @@ import (
 	"time"
 
 	"minuet/internal/netsim"
+	"minuet/internal/sinfonia"
 	"minuet/internal/wire"
 )
 
@@ -17,7 +18,6 @@ const (
 	defaultConnsPerPeer = 2
 	defaultWindow       = 128
 	defaultQueueWait    = 10 * time.Second
-	defaultPoolSize     = 16
 )
 
 // Client is a netsim.Transport that reaches nodes over TCP using the
@@ -28,10 +28,6 @@ const (
 // blocks the connection. When every slot toward a peer is occupied, a new
 // Call queues for up to QueueWait and then fails with ErrBackpressure.
 //
-// With Legacy set, the client speaks the old v1 framing instead: a pool of
-// connections, each used synchronously for one request at a time. Kept for
-// protocol-compatibility tests and as the baseline in transport benchmarks.
-//
 // All tunables must be set before the first Call.
 type Client struct {
 	// ConnsPerPeer is the connection budget per destination (default 2).
@@ -41,16 +37,10 @@ type Client struct {
 	// QueueWait bounds how long a Call waits for a window slot before
 	// failing with ErrBackpressure (default 10s).
 	QueueWait time.Duration
-	// Legacy selects the v1 one-shot framing.
-	Legacy bool
-	// PoolSize bounds pooled connections per node in Legacy mode
-	// (default 16).
-	PoolSize int
 
 	mu    sync.Mutex
-	addrs map[netsim.NodeID]string        // guarded by mu
-	peers map[netsim.NodeID]*peer         // guarded by mu
-	pools map[netsim.NodeID]chan net.Conn // guarded by mu; legacy mode only
+	addrs map[netsim.NodeID]string // guarded by mu
+	peers map[netsim.NodeID]*peer  // guarded by mu
 }
 
 // NewClient returns a TCP transport over the given node address map.
@@ -63,10 +53,8 @@ func NewClient(addrs map[netsim.NodeID]string) *Client {
 		ConnsPerPeer: defaultConnsPerPeer,
 		Window:       defaultWindow,
 		QueueWait:    defaultQueueWait,
-		PoolSize:     defaultPoolSize,
 		addrs:        m,
 		peers:        make(map[netsim.NodeID]*peer),
-		pools:        make(map[netsim.NodeID]chan net.Conn),
 	}
 }
 
@@ -78,37 +66,28 @@ func (c *Client) SetAddr(id netsim.NodeID, addr string) {
 	c.addrs[id] = addr
 	p := c.peers[id]
 	delete(c.peers, id)
-	pool := c.pools[id]
-	delete(c.pools, id)
 	c.mu.Unlock()
 	if p != nil {
 		p.close(fmt.Errorf("rpcnet: node %d re-addressed", id))
 	}
-	drainPool(pool)
 }
 
 // Close drops all connections. In-flight calls fail with ErrUnreachable.
 func (c *Client) Close() {
 	c.mu.Lock()
 	peers := c.peers
-	pools := c.pools
 	c.peers = make(map[netsim.NodeID]*peer)
-	c.pools = make(map[netsim.NodeID]chan net.Conn)
 	c.mu.Unlock()
 	for _, p := range peers {
 		p.close(errors.New("rpcnet: client closed"))
 	}
-	for _, pool := range pools {
-		drainPool(pool)
-	}
 }
 
-// Call implements netsim.Transport.
+// Call implements netsim.Transport. req must be a Sinfonia wire message; a
+// request too large for one frame fails with ErrTooLarge before it takes a
+// window slot, leaving the connection and its other calls alone.
 func (c *Client) Call(to netsim.NodeID, req any) (any, error) {
-	if c.Legacy {
-		return c.callLegacy(to, req)
-	}
-	payload, err := encodeEnvelope(&envelope{Body: req})
+	frame, err := encodeFrame(req)
 	if err != nil {
 		return nil, err
 	}
@@ -121,7 +100,7 @@ func (c *Client) Call(to netsim.NodeID, req any) (any, error) {
 		if err != nil {
 			return nil, err
 		}
-		resp, err, retry := mc.roundTrip(payload, c.queueWait())
+		resp, err, retry := mc.roundTrip(frame, c.queueWait())
 		if retry && attempt < 2 {
 			continue
 		}
@@ -214,11 +193,13 @@ func (p *peer) close(cause error) {
 	}
 }
 
-// muxReply is what a caller receives for its request id.
+// muxReply is what a caller receives for its request id. The caller
+// decodes the payload itself, so responses on one connection decode in
+// parallel rather than on the connection's read loop.
 type muxReply struct {
-	flags wire.FrameFlags
-	env   *envelope
-	err   error // transport-level failure (connection died)
+	flags   wire.FrameFlags
+	payload []byte
+	err     error // transport-level failure (connection died)
 }
 
 // muxConn is one multiplexed connection: a slot semaphore bounding the
@@ -276,7 +257,6 @@ func (mc *muxConn) readLoop() {
 			mc.fail(err)
 			return
 		}
-		env, derr := decodeEnvelope(payload)
 		mc.mu.Lock()
 		ch, ok := mc.pending[hdr.ID]
 		delete(mc.pending, hdr.ID)
@@ -284,18 +264,14 @@ func (mc *muxConn) readLoop() {
 		if !ok {
 			continue // response for an abandoned id; drop it
 		}
-		if derr != nil {
-			ch <- muxReply{err: derr}
-			continue
-		}
-		ch <- muxReply{flags: hdr.Flags, env: env}
+		ch <- muxReply{flags: hdr.Flags, payload: payload}
 	}
 }
 
-// roundTrip sends one request payload and waits for its response. retry is
-// true when the connection was dead before the request was written, so the
-// caller may safely try a fresh connection.
-func (mc *muxConn) roundTrip(payload []byte, queueWait time.Duration) (resp any, err error, retry bool) {
+// roundTrip sends one request frame (built by encodeFrame) and waits for its
+// response. retry is true when the connection was dead before the request
+// was written, so the caller may safely try a fresh connection.
+func (mc *muxConn) roundTrip(frame []byte, queueWait time.Duration) (resp any, err error, retry bool) {
 	// Acquire an in-flight slot: this is the client half of backpressure.
 	select {
 	case mc.slots <- struct{}{}:
@@ -322,7 +298,7 @@ func (mc *muxConn) roundTrip(payload []byte, queueWait time.Duration) (resp any,
 	mc.pending[id] = ch
 	mc.mu.Unlock()
 
-	if err := writeFrameMux(mc.conn, &mc.wmu, id, 0, payload); err != nil {
+	if err := writeFrameMux(mc.conn, &mc.wmu, id, 0, frame); err != nil {
 		mc.fail(err) // delivers to our channel too
 	}
 	rep := <-ch
@@ -332,82 +308,10 @@ func (mc *muxConn) roundTrip(payload []byte, queueWait time.Duration) (resp any,
 		return nil, fmt.Errorf("%w: %v", netsim.ErrUnreachable, rep.err), false
 	case rep.flags&wire.FrameFlagThrottled != 0:
 		return nil, fmt.Errorf("%w: shed by server", ErrBackpressure), false
-	case rep.env.Err != "":
-		return nil, errors.New(rep.env.Err), false
+	case rep.flags&wire.FrameFlagError != 0:
+		return nil, errors.New(string(rep.payload)), false
 	default:
-		return rep.env.Body, nil, false
-	}
-}
-
-// ------------------------------------------------------------- legacy v1 --
-
-// callLegacy performs a one-shot v1 exchange on a pooled connection.
-func (c *Client) callLegacy(to netsim.NodeID, req any) (any, error) {
-	conn, pool, err := c.legacyConn(to)
-	if err != nil {
-		return nil, err
-	}
-	if err := writeFrameV1(conn, &envelope{Body: req}); err != nil {
-		conn.Close()
-		return nil, fmt.Errorf("%w: %v", netsim.ErrUnreachable, err)
-	}
-	resp, err := readFrameV1(conn)
-	if err != nil {
-		conn.Close()
-		return nil, fmt.Errorf("%w: %v", netsim.ErrUnreachable, err)
-	}
-	select {
-	case pool <- conn:
-	default:
-		conn.Close() // pool full
-	}
-	if resp.Err != "" {
-		return nil, errors.New(resp.Err)
-	}
-	return resp.Body, nil
-}
-
-func (c *Client) legacyConn(id netsim.NodeID) (net.Conn, chan net.Conn, error) {
-	c.mu.Lock()
-	addr, ok := c.addrs[id]
-	if !ok {
-		c.mu.Unlock()
-		return nil, nil, fmt.Errorf("%w: node %d has no address", netsim.ErrUnreachable, id)
-	}
-	pool, ok := c.pools[id]
-	if !ok {
-		size := c.PoolSize
-		if size <= 0 {
-			size = defaultPoolSize
-		}
-		pool = make(chan net.Conn, size)
-		c.pools[id] = pool
-	}
-	c.mu.Unlock()
-
-	select {
-	case conn := <-pool:
-		return conn, pool, nil
-	default:
-	}
-	conn, err := net.Dial("tcp", addr)
-	if err != nil {
-		return nil, nil, fmt.Errorf("%w: %v", netsim.ErrUnreachable, err)
-	}
-	return conn, pool, nil
-}
-
-// drainPool closes every pooled legacy connection.
-func drainPool(pool chan net.Conn) {
-	if pool == nil {
-		return
-	}
-	for {
-		select {
-		case conn := <-pool:
-			conn.Close()
-		default:
-			return
-		}
+		resp, err := sinfonia.DecodeMsg(rep.payload)
+		return resp, err, false
 	}
 }

@@ -3,17 +3,17 @@
 // side and serves any netsim.Handler (normally a Sinfonia memnode) on the
 // server side.
 //
-// The transport is pipelined and multiplexed (protocol version 2): many
+// The transport is pipelined and multiplexed (protocol version 3): many
 // requests share one connection, each frame carries a request id, and
 // responses complete asynchronously in whatever order the server finishes
 // them. A client keeps a small per-peer connection budget (ConnsPerPeer)
 // and bounds the in-flight requests per connection (Window); when every
 // slot is taken, callers queue for up to QueueWait and then fail with
-// ErrBackpressure. Payloads remain gob-encoded envelopes; only the framing
-// changed between protocol versions. The server auto-detects the protocol
-// per connection, so old one-shot (v1) clients keep working. See
-// docs/WIRE.md for the wire contract and internal/wire for the frame
-// header codec.
+// ErrBackpressure. A frame's payload is one Sinfonia message in the binary
+// codec of internal/sinfonia (sinfonia.AppendMsg/DecodeMsg), or, on an
+// error response, the error text. A server closes any connection that does
+// not open with the version-3 preamble. See docs/WIRE.md for the wire
+// contract and internal/wire for the frame header codec.
 //
 // cmd/minuet-server and cmd/minuet-load use this package to run a memnode
 // cluster as separate OS processes; internal/prochost spawns and babysits
@@ -21,9 +21,6 @@
 package rpcnet
 
 import (
-	"bytes"
-	"encoding/binary"
-	"encoding/gob"
 	"errors"
 	"fmt"
 	"io"
@@ -34,114 +31,50 @@ import (
 	"minuet/internal/wire"
 )
 
-func init() {
-	// Register every wire type that can cross the connection. Applications
-	// with custom RPC types register them via gob.Register themselves.
-	gob.Register(&sinfonia.ExecCommitReq{})
-	gob.Register(&sinfonia.PrepareReq{})
-	gob.Register(&sinfonia.ExecResp{})
-	gob.Register(&sinfonia.CommitReq{})
-	gob.Register(&sinfonia.AbortReq{})
-	gob.Register(&sinfonia.Ack{})
-	gob.Register(&sinfonia.ReplicaApplyReq{})
-	gob.Register(&sinfonia.ReplicaStageReq{})
-	gob.Register(&sinfonia.ReplicaResolveReq{})
-	gob.Register(&sinfonia.ScanReq{})
-	gob.Register(&sinfonia.ScanResp{})
-	gob.Register(&sinfonia.SnapshotStateReq{})
-	gob.Register(&sinfonia.SnapshotStateResp{})
-	gob.Register(&sinfonia.StatsReq{})
-	gob.Register(&sinfonia.StatsResp{})
-	gob.Register(&sinfonia.InDoubtReq{})
-	gob.Register(&sinfonia.InDoubtResp{})
-	gob.Register(&sinfonia.TxnStatusReq{})
-	gob.Register(&sinfonia.TxnStatusResp{})
-}
-
 // ErrBackpressure is returned when a call could not acquire an in-flight
 // window slot within the client's QueueWait: every connection to the peer
 // is running at its full pipelining window. The request was never sent.
 var ErrBackpressure = errors.New("rpcnet: in-flight window full")
 
-// maxFrameV1 bounds a legacy (v1) frame. Mirrors wire.MaxFramePayload.
-const maxFrameV1 = wire.MaxFramePayload
+// ErrTooLarge is returned for a message whose encoding exceeds
+// wire.MaxFramePayload. A request that large is refused before it is sent;
+// a response that large reaches its caller as an error response.
+var ErrTooLarge = errors.New("rpcnet: message exceeds the frame payload limit")
 
-// envelope is the gob payload of every frame: a request or a response.
-type envelope struct {
-	Body any
-	Err  string
-}
-
-// encodeEnvelope gob-encodes e.
-func encodeEnvelope(e *envelope) ([]byte, error) {
-	var buf bytes.Buffer
-	if err := gob.NewEncoder(&buf).Encode(e); err != nil {
-		return nil, err
-	}
-	return buf.Bytes(), nil
-}
-
-// decodeEnvelope decodes a frame payload written by encodeEnvelope.
-func decodeEnvelope(p []byte) (*envelope, error) {
-	var e envelope
-	if err := gob.NewDecoder(bytes.NewReader(p)).Decode(&e); err != nil {
-		return nil, err
-	}
-	return &e, nil
-}
-
-// writeFrameV1 writes one legacy length-prefixed gob message.
-func writeFrameV1(conn net.Conn, e *envelope) error {
-	payload, err := encodeEnvelope(e)
+// encodeFrame builds the frame for msg in one exact-size buffer: room for
+// the header, which writeFrameMux fills in, followed by the encoded
+// message.
+func encodeFrame(msg any) ([]byte, error) {
+	n, err := sinfonia.MsgSize(msg)
 	if err != nil {
-		return err
-	}
-	buf := make([]byte, 4, 4+len(payload))
-	binary.BigEndian.PutUint32(buf, uint32(len(payload)))
-	buf = append(buf, payload...)
-	_, err = conn.Write(buf)
-	return err
-}
-
-// readFrameV1 reads one legacy length-prefixed gob message.
-func readFrameV1(conn net.Conn) (*envelope, error) {
-	var hdr [4]byte
-	if _, err := io.ReadFull(conn, hdr[:]); err != nil {
 		return nil, err
 	}
-	return readFrameV1Body(conn, binary.BigEndian.Uint32(hdr[:]))
+	if n > wire.MaxFramePayload {
+		return nil, fmt.Errorf("%w: %T encodes to %d bytes (max %d)", ErrTooLarge, msg, n, wire.MaxFramePayload)
+	}
+	return sinfonia.AppendMsg(make([]byte, wire.FrameHeaderLen, wire.FrameHeaderLen+n), msg)
 }
 
-// readFrameV1Body reads a legacy frame whose length prefix has already been
-// consumed (the server sniffs the first 4 bytes to detect the protocol).
-func readFrameV1Body(conn net.Conn, n uint32) (*envelope, error) {
-	if n > maxFrameV1 {
-		return nil, fmt.Errorf("rpcnet: frame too large: %d", n)
-	}
-	body := make([]byte, n)
-	if _, err := io.ReadFull(conn, body); err != nil {
-		return nil, err
-	}
-	return decodeEnvelope(body)
+// errorFrame builds the frame of an error response: its payload is the
+// error text.
+func errorFrame(text string) []byte {
+	return append(make([]byte, wire.FrameHeaderLen, wire.FrameHeaderLen+len(text)), text...)
 }
 
-// writeFrameMux writes one multiplexed frame (header + payload) as a single
-// conn.Write so concurrent writers never interleave bytes; wmu serializes
-// the call.
-func writeFrameMux(conn net.Conn, wmu *sync.Mutex, id uint64, flags wire.FrameFlags, payload []byte) error {
-	if len(payload) > wire.MaxFramePayload {
-		return fmt.Errorf("rpcnet: frame payload too large: %d", len(payload))
-	}
-	hdr := wire.FrameHeader{ID: id, Flags: flags, Length: uint32(len(payload))}
-	buf := hdr.AppendFrameHeader(make([]byte, 0, wire.FrameHeaderLen+len(payload)))
-	buf = append(buf, payload...)
+// writeFrameMux fills in the header of a frame built by encodeFrame or
+// errorFrame and writes the frame with a single conn.Write, so concurrent
+// writers never interleave bytes; wmu serializes the call.
+func writeFrameMux(conn net.Conn, wmu *sync.Mutex, id uint64, flags wire.FrameFlags, frame []byte) error {
+	hdr := wire.FrameHeader{ID: id, Flags: flags, Length: uint32(len(frame) - wire.FrameHeaderLen)}
+	hdr.AppendFrameHeader(frame[:0])
 	wmu.Lock()
 	defer wmu.Unlock()
-	_, err := conn.Write(buf)
+	_, err := conn.Write(frame)
 	return err
 }
 
-// readFrameMux reads one multiplexed frame.
+// readFrameMux reads one multiplexed frame. The payload is freshly
+// allocated and never reused, so messages decoded from it may alias it.
 func readFrameMux(conn net.Conn) (wire.FrameHeader, []byte, error) {
 	var hb [wire.FrameHeaderLen]byte
 	if _, err := io.ReadFull(conn, hb[:]); err != nil {

@@ -6,6 +6,7 @@ import (
 	"sync"
 
 	"minuet/internal/netsim"
+	"minuet/internal/sinfonia"
 	"minuet/internal/wire"
 )
 
@@ -15,12 +16,9 @@ import (
 // instead of buffering without bound.
 const defaultServerInflight = 256
 
-// Server serves a netsim.Handler over TCP. Each accepted connection is
-// protocol-sniffed: multiplexed (v2) connections open with the wire
-// preamble and pipeline many requests, each handled on its own goroutine
-// with responses written back in completion order; legacy (v1) connections
-// are served synchronously, one request at a time, exactly as the old
-// transport did.
+// Server serves a netsim.Handler over TCP. Each accepted connection opens
+// with the wire preamble and then pipelines many requests, each handled on
+// its own goroutine with responses written back in completion order.
 type Server struct {
 	ln      net.Listener
 	handler netsim.Handler
@@ -75,8 +73,9 @@ func (s *Server) acceptLoop() {
 	}
 }
 
-// serveConn sniffs the connection's protocol version from its first four
-// bytes and dispatches to the matching loop.
+// serveConn checks the connection's preamble and serves it. A peer that
+// opens with anything but the current protocol's preamble — an older
+// protocol version included — is disconnected.
 func (s *Server) serveConn(conn net.Conn) {
 	defer s.wg.Done()
 	defer func() {
@@ -89,37 +88,10 @@ func (s *Server) serveConn(conn net.Conn) {
 	if _, err := io.ReadFull(conn, first[:]); err != nil {
 		return
 	}
-	_, isMux, err := wire.ParseFramePreamble(first[:])
-	if err != nil {
-		return // recognized preamble, unsupported version: drop the connection
-	}
-	if isMux {
-		s.serveMux(conn)
+	if _, ok, err := wire.ParseFramePreamble(first[:]); !ok || err != nil {
 		return
 	}
-	// v1: the sniffed bytes were the first frame's length prefix.
-	s.serveV1(conn, first)
-}
-
-// serveV1 is the legacy one-request-per-connection-at-a-time loop. first
-// holds the already-consumed length prefix of the first frame.
-func (s *Server) serveV1(conn net.Conn, first [4]byte) {
-	req, err := readFrameV1Body(conn, uint32(first[0])<<24|uint32(first[1])<<16|uint32(first[2])<<8|uint32(first[3]))
-	for {
-		if err != nil {
-			return
-		}
-		resp, herr := s.handler.HandleRPC(req.Body)
-		out := &envelope{Body: resp}
-		if herr != nil {
-			out.Err = herr.Error()
-			out.Body = nil
-		}
-		if err = writeFrameV1(conn, out); err != nil {
-			return
-		}
-		req, err = readFrameV1(conn)
-	}
+	s.serveMux(conn)
 }
 
 // serveMux is the pipelined loop: frames are read continuously and each
@@ -147,31 +119,32 @@ func (s *Server) serveMux(conn net.Conn) {
 		go func(hdr wire.FrameHeader, payload []byte) {
 			defer s.wg.Done()
 			defer func() { <-sem }()
-			var out envelope
-			var flags wire.FrameFlags
-			env, derr := decodeEnvelope(payload)
-			if derr != nil {
-				out.Err = "rpcnet: bad request payload: " + derr.Error()
-				flags |= wire.FrameFlagError
-			} else {
-				resp, herr := s.handler.HandleRPC(env.Body)
-				if herr != nil {
-					out.Err = herr.Error()
-					flags |= wire.FrameFlagError
-				} else {
-					out.Body = resp
-				}
-			}
-			respPayload, eerr := encodeEnvelope(&out)
-			if eerr != nil {
-				respPayload, _ = encodeEnvelope(&envelope{Err: "rpcnet: response encode: " + eerr.Error()})
-				flags |= wire.FrameFlagError
-			}
+			frame, flags := s.respond(payload)
 			// A write failure means the connection died; the read loop will
 			// observe it and exit, failing the peer's in-flight calls.
-			_ = writeFrameMux(conn, &wmu, hdr.ID, flags, respPayload)
+			_ = writeFrameMux(conn, &wmu, hdr.ID, flags, frame)
 		}(hdr, payload)
 	}
+}
+
+// respond runs one request payload through the handler and returns the
+// response frame. Every failure — an undecodable request, a handler error,
+// a response too large for a frame — becomes an error response, so the
+// caller always hears back and the connection stays up.
+func (s *Server) respond(payload []byte) ([]byte, wire.FrameFlags) {
+	req, err := sinfonia.DecodeMsg(payload)
+	if err != nil {
+		return errorFrame("rpcnet: bad request: " + err.Error()), wire.FrameFlagError
+	}
+	resp, err := s.handler.HandleRPC(req)
+	if err != nil {
+		return errorFrame(err.Error()), wire.FrameFlagError
+	}
+	frame, err := encodeFrame(resp)
+	if err != nil {
+		return errorFrame("rpcnet: response: " + err.Error()), wire.FrameFlagError
+	}
+	return frame, 0
 }
 
 // Close stops accepting, closes all connections, and waits for in-flight

@@ -1,12 +1,13 @@
 package sinfonia
 
 import (
-	"encoding/binary"
+	"bytes"
 	"errors"
 	"fmt"
 	"time"
 
 	"minuet/internal/wal"
+	"minuet/internal/wire"
 )
 
 // Durable memnodes: a per-memnode write-ahead redo log (internal/wal) makes
@@ -57,18 +58,22 @@ type DurOptions struct {
 // defaultCheckpointEvery is the auto-checkpoint threshold when unset.
 const defaultCheckpointEvery = 8 << 20
 
-// Record and checkpoint encodings. Hand-rolled little-endian framing (the
-// wal layer adds length + CRC): versioned, self-contained, and cheap enough
-// to sit on the commit path.
+// Record and checkpoint formats (the wal layer adds length + CRC). The
+// record tag doubles as the record format: this build writes format 2
+// (record tags 4-6, checkpoint format 2) and refuses format 1 (record tags
+// 1-3, checkpoint format 1) rather than misreading it.
 const (
-	recApply   = 1 // committed writes (one-phase, or phase two of a stage)
-	recStage   = 2 // prepared distributed transaction
-	recResolve = 3 // phase-two outcome without writes (abort, empty commit)
+	recApply   = 4 // committed writes (one-phase, or phase two of a stage)
+	recStage   = 5 // prepared distributed transaction
+	recResolve = 6 // phase-two outcome without writes (abort, empty commit)
 
-	stateVersion = 1
+	stateVersion = 2
 )
 
-var errBadRecord = errors.New("sinfonia: corrupt wal record")
+var (
+	errBadRecord = errors.New("sinfonia: corrupt wal record")
+	errOldFormat = errors.New("sinfonia: wal written in format 1, which this build no longer reads; recover it with the release that wrote it")
+)
 
 // replayPreparedAt is the prepare timestamp given to restored stages: the
 // clock restarts, so the recovery coordinator leaves them alone for a full
@@ -198,8 +203,9 @@ func (m *Memnode) maybeCheckpoint() {
 // a wal frame (wal.MaxRecordLen) — checked up front, before any state
 // mutates, so an oversized request gets a clean error instead of poisoning
 // a healthy node when the post-apply append fails. The bound conservatively
-// over-counts the encoding: per-write overhead is at most 20 bytes (addr +
-// version + length) and the record header at most 14.
+// over-counts the encoding: per-write overhead is at most 20 bytes (addr,
+// version and length in APPLY; node, addr and length in STAGE) and the
+// fixed part of a record at most 26.
 func (m *Memnode) checkTxnSize(writes []WriteItem, nAddrs, nParticipants int) error {
 	if m.wal == nil {
 		return nil
@@ -245,203 +251,92 @@ func (m *Memnode) walCommit(lsn uint64) error {
 
 // ---- record encoding ----
 
-type enc struct{ b []byte }
+// Each record starts with its tag byte and is built from the message
+// codec's list helpers (codec.go): an APPLY record carries a
+// ReplicaApplyReq, a STAGE record the same writes, lock set, and
+// participants a PrepareReq does. Records are sized exactly before they
+// are built. Replay decodes with aliasing reads, so it copies the bytes it
+// keeps: the log's recovered records point into whole-segment buffers.
 
-func (e *enc) u8(v uint8)   { e.b = append(e.b, v) }
-func (e *enc) u32(v uint32) { e.b = binary.LittleEndian.AppendUint32(e.b, v) }
-func (e *enc) u64(v uint64) { e.b = binary.LittleEndian.AppendUint64(e.b, v) }
-func (e *enc) bool(v bool) {
-	if v {
-		e.u8(1)
-	} else {
-		e.u8(0)
+// encodeApplyRecord builds an APPLY record: committed writes with the exact
+// versions the primary assigned (replay restores them verbatim, keeping
+// version-based OCC compares valid across restarts). staged marks phase-two
+// commits, whose replay also clears the stage named by rep.Txid and fences
+// the outcome.
+func encodeApplyRecord(staged bool, rep *ReplicaApplyReq) []byte {
+	b := wire.AppendTo(make([]byte, 0, 1+1+sizeReplicaApplyReq(rep)))
+	b.U8(recApply)
+	b.Bool(staged)
+	return appendReplicaApplyReq(b.Bytes(), rep)
+}
+
+func decodeApplyRecord(r *wire.Reader) (staged bool, rep *ReplicaApplyReq) {
+	_ = r.U8() // record tag; the dispatcher switched on it already
+	staged = r.Bool()
+	return staged, decodeReplicaApplyReq(r)
+}
+
+// encodeStageRecord builds a STAGE record for a prepared transaction: its
+// writes, its full locked address set (compares and reads lock too — the
+// writes alone would under-lock after replay), and the participant list
+// coordinator recovery needs.
+func encodeStageRecord(txid uint64, st *staged) []byte {
+	b := wire.AppendTo(make([]byte, 0, 1+sizeStaged(st)))
+	b.U8(recStage)
+	appendStaged(&b, txid, st)
+	return b.Bytes()
+}
+
+func decodeStageRecord(r *wire.Reader) (uint64, *staged) {
+	_ = r.U8() // record tag
+	return decodeStaged(r)
+}
+
+// sizeStaged, appendStaged and decodeStaged encode one staged transaction,
+// in STAGE records and in checkpoints alike.
+func sizeStaged(st *staged) int {
+	return 8 + sizeAddrs(st.addrs) + sizeNodeIDs(st.participants) + sizeWrites(st.writes)
+}
+
+func appendStaged(b *wire.Buffer, txid uint64, st *staged) {
+	b.U64(txid)
+	appendAddrs(b, st.addrs)
+	appendNodeIDs(b, st.participants)
+	appendWrites(b, st.writes)
+}
+
+func decodeStaged(r *wire.Reader) (uint64, *staged) {
+	txid := r.U64()
+	st := &staged{preparedAt: replayPreparedAt()}
+	st.addrs = decodeAddrs(r)
+	st.participants = decodeNodeIDs(r)
+	st.writes = decodeWrites(r)
+	return txid, st
+}
+
+// encodeResolveRecord builds a RESOLVE record: a phase-two outcome that
+// carries no writes (an abort, or a commit whose transaction staged nothing
+// to write here).
+func encodeResolveRecord(txid uint64, aborted bool) []byte {
+	b := wire.AppendTo(make([]byte, 0, 1+8+1))
+	b.U8(recResolve)
+	b.U64(txid)
+	b.Bool(aborted)
+	return b.Bytes()
+}
+
+func decodeResolveRecord(r *wire.Reader) (txid uint64, aborted bool) {
+	_ = r.U8() // record tag
+	txid = r.U64()
+	aborted = r.Bool()
+	return txid, aborted
+}
+
+// cloneWriteData gives decoded writes their own copies of their data.
+func cloneWriteData(ws []WriteItem) {
+	for i := range ws {
+		ws[i].Data = bytes.Clone(ws[i].Data)
 	}
-}
-func (e *enc) bytes(p []byte) {
-	e.u32(uint32(len(p)))
-	e.b = append(e.b, p...)
-}
-
-type dec struct {
-	b   []byte
-	err bool
-}
-
-func (d *dec) u8() uint8 {
-	if d.err || len(d.b) < 1 {
-		d.err = true
-		return 0
-	}
-	v := d.b[0]
-	d.b = d.b[1:]
-	return v
-}
-
-func (d *dec) u32() uint32 {
-	if d.err || len(d.b) < 4 {
-		d.err = true
-		return 0
-	}
-	v := binary.LittleEndian.Uint32(d.b)
-	d.b = d.b[4:]
-	return v
-}
-
-func (d *dec) u64() uint64 {
-	if d.err || len(d.b) < 8 {
-		d.err = true
-		return 0
-	}
-	v := binary.LittleEndian.Uint64(d.b)
-	d.b = d.b[8:]
-	return v
-}
-
-func (d *dec) bool() bool { return d.u8() == 1 }
-
-// count decodes a u32 element count and bounds it by the bytes remaining:
-// each element occupies at least minElem encoded bytes, so a larger count is
-// a corrupt record — rejected here, before the caller allocates for it.
-func (d *dec) count(minElem int) int {
-	n := int(d.u32())
-	if d.err || n > len(d.b)/minElem {
-		d.err = true
-		return 0
-	}
-	return n
-}
-
-func (d *dec) bytes() []byte {
-	n := int(d.u32())
-	if d.err || len(d.b) < n {
-		d.err = true
-		return nil
-	}
-	v := make([]byte, n)
-	copy(v, d.b[:n])
-	d.b = d.b[n:]
-	return v
-}
-
-// encodeApply logs committed writes with the exact versions the primary
-// assigned (replay restores them verbatim, keeping version-based OCC
-// compares valid across restarts). staged marks phase-two commits, whose
-// replay also clears the stage and fences the outcome.
-func encodeApply(txid uint64, staged bool, rep *ReplicaApplyReq) []byte {
-	e := &enc{b: make([]byte, 0, 64)}
-	e.u8(recApply)
-	e.u64(txid)
-	e.bool(staged)
-	e.u32(uint32(len(rep.Addrs)))
-	for i := range rep.Addrs {
-		e.u64(uint64(rep.Addrs[i]))
-		e.u64(rep.Versions[i])
-		e.bytes(rep.Data[i])
-	}
-	return e.b
-}
-
-// encodeStage logs a prepared transaction: its writes, its full locked
-// address set (compares and reads lock too — the writes alone would
-// under-lock after replay), and the participant list coordinator recovery
-// needs.
-func encodeStage(txid uint64, addrs []Addr, participants []NodeID, writes []WriteItem) []byte {
-	e := &enc{b: make([]byte, 0, 64)}
-	e.u8(recStage)
-	e.u64(txid)
-	e.u32(uint32(len(addrs)))
-	for _, a := range addrs {
-		e.u64(uint64(a))
-	}
-	e.u32(uint32(len(participants)))
-	for _, p := range participants {
-		e.u32(uint32(p))
-	}
-	e.u32(uint32(len(writes)))
-	for i := range writes {
-		e.u64(uint64(writes[i].Addr))
-		e.bytes(writes[i].Data)
-	}
-	return e.b
-}
-
-// encodeResolve logs a phase-two outcome that carries no writes: an abort,
-// or a commit whose transaction staged nothing to write here.
-func encodeResolve(txid uint64, aborted bool) []byte {
-	e := &enc{b: make([]byte, 0, 16)}
-	e.u8(recResolve)
-	e.u64(txid)
-	e.bool(aborted)
-	return e.b
-}
-
-// applyRecord is the parsed form of a recApply redo record, the decode
-// counterpart of encodeApply.
-type applyRecord struct {
-	txid     uint64
-	staged   bool
-	addrs    []Addr
-	versions []uint64
-	data     [][]byte
-}
-
-func decodeApply(d *dec) applyRecord {
-	var r applyRecord
-	_ = d.u8() // record tag; the dispatcher switched on it already
-	r.txid = d.u64()
-	r.staged = d.bool()
-	n := d.count(20) // addr + version + data length prefix per item
-	for i := 0; i < n; i++ {
-		r.addrs = append(r.addrs, Addr(d.u64()))
-		r.versions = append(r.versions, d.u64())
-		r.data = append(r.data, d.bytes())
-	}
-	return r
-}
-
-// stageRecord is the parsed form of a recStage redo record, the decode
-// counterpart of encodeStage. node stamps the decoded writes' owner.
-type stageRecord struct {
-	txid         uint64
-	addrs        []Addr
-	participants []NodeID
-	writes       []WriteItem
-}
-
-func decodeStage(d *dec, node NodeID) stageRecord {
-	var r stageRecord
-	_ = d.u8() // record tag
-	r.txid = d.u64()
-	r.addrs = make([]Addr, d.count(8))
-	for i := range r.addrs {
-		r.addrs[i] = Addr(d.u64())
-	}
-	r.participants = make([]NodeID, d.count(4))
-	for i := range r.participants {
-		r.participants[i] = NodeID(d.u32())
-	}
-	r.writes = make([]WriteItem, d.count(12))
-	for i := range r.writes {
-		r.writes[i].Node = node
-		r.writes[i].Addr = Addr(d.u64())
-		r.writes[i].Data = d.bytes()
-	}
-	return r
-}
-
-// resolveRecord is the parsed form of a recResolve redo record, the decode
-// counterpart of encodeResolve.
-type resolveRecord struct {
-	txid    uint64
-	aborted bool
-}
-
-func decodeResolve(d *dec) resolveRecord {
-	var r resolveRecord
-	_ = d.u8() // record tag
-	r.txid = d.u64()
-	r.aborted = d.bool()
-	return r
 }
 
 // replayRecordLocked applies one redo record to a recovering memnode. Replay is
@@ -453,147 +348,121 @@ func (m *Memnode) replayRecordLocked(p []byte) error {
 	if len(p) == 0 {
 		return errBadRecord
 	}
-	d := &dec{b: p}
+	r := wire.NewReader(p)
 	switch p[0] {
 	case recApply:
-		r := decodeApply(d)
-		if d.err {
+		staged, rep := decodeApplyRecord(r)
+		if finish(r) != nil {
 			return errBadRecord
 		}
-		for i, addr := range r.addrs {
-			if cur := m.items[addr]; cur == nil || cur.version < r.versions[i] {
-				m.items[addr] = &item{data: r.data[i], version: r.versions[i]}
+		for i, addr := range rep.Addrs {
+			if cur := m.items[addr]; cur == nil || cur.version < rep.Versions[i] {
+				m.items[addr] = &item{data: bytes.Clone(rep.Data[i]), version: rep.Versions[i]}
 			}
 		}
-		if r.staged {
-			delete(m.staged, r.txid)
-			m.outcomes.record(r.txid, TxnCommitted)
+		if staged {
+			delete(m.staged, rep.Txid)
+			m.outcomes.record(rep.Txid, TxnCommitted)
 		}
 	case recStage:
-		r := decodeStage(d, m.id)
-		if d.err {
+		txid, st := decodeStageRecord(r)
+		if finish(r) != nil {
 			return errBadRecord
 		}
-		if _, resolved := m.outcomes.get(r.txid); resolved {
+		if _, resolved := m.outcomes.get(txid); resolved {
 			return nil // resolved later in the log; never resurrect
 		}
-		m.staged[r.txid] = &staged{
-			writes:       r.writes,
-			addrs:        r.addrs,
-			participants: r.participants,
-			preparedAt:   replayPreparedAt(),
-		}
+		cloneWriteData(st.writes)
+		m.staged[txid] = st
 	case recResolve:
-		r := decodeResolve(d)
-		if d.err {
+		txid, aborted := decodeResolveRecord(r)
+		if finish(r) != nil {
 			return errBadRecord
 		}
-		if st, ok := m.staged[r.txid]; ok {
-			m.releaseLocked(r.txid, st)
+		if st, ok := m.staged[txid]; ok {
+			m.releaseLocked(txid, st)
 		}
-		if r.aborted {
-			m.outcomes.record(r.txid, TxnAborted)
+		if aborted {
+			m.outcomes.record(txid, TxnAborted)
 		} else {
-			m.outcomes.record(r.txid, TxnCommitted)
+			m.outcomes.record(txid, TxnCommitted)
 		}
+	case 1, 2, 3: // format-1 APPLY, STAGE and RESOLVE
+		return errOldFormat
 	default:
-		return errBadRecord
-	}
-	if d.err {
 		return errBadRecord
 	}
 	return nil
 }
 
+// sizeStateLocked is the exact length encodeStateLocked produces. Caller
+// holds m.mu.
+func (m *Memnode) sizeStateLocked() int {
+	n := 1 + 4
+	for _, it := range m.items {
+		n += 8 + 8 + 4 + len(it.data)
+	}
+	n += 4
+	for _, st := range m.staged {
+		n += sizeStaged(st)
+	}
+	return n + 4 + (8+1)*len(m.outcomes.order)
+}
+
 // encodeStateLocked serializes the memnode's durable state for a checkpoint:
 // items, staged prepares, and the resolved-outcome log. Caller holds m.mu.
 func (m *Memnode) encodeStateLocked() []byte {
-	e := &enc{b: make([]byte, 0, 1024)}
-	e.u8(stateVersion)
-	e.u32(uint32(len(m.items)))
+	b := wire.AppendTo(make([]byte, 0, m.sizeStateLocked()))
+	b.U8(stateVersion)
+	b.U32(uint32(len(m.items)))
 	for a, it := range m.items {
-		e.u64(uint64(a))
-		e.u64(it.version)
-		e.bytes(it.data)
+		b.U64(uint64(a))
+		b.U64(it.version)
+		b.Bytes32(it.data)
 	}
-	e.u32(uint32(len(m.staged)))
+	b.U32(uint32(len(m.staged)))
 	for txid, st := range m.staged {
-		e.u64(txid)
-		e.u32(uint32(len(st.addrs)))
-		for _, a := range st.addrs {
-			e.u64(uint64(a))
-		}
-		e.u32(uint32(len(st.participants)))
-		for _, p := range st.participants {
-			e.u32(uint32(p))
-		}
-		e.u32(uint32(len(st.writes)))
-		for i := range st.writes {
-			e.u64(uint64(st.writes[i].Addr))
-			e.bytes(st.writes[i].Data)
-		}
+		appendStaged(&b, txid, st)
 	}
-	e.u32(uint32(len(m.outcomes.order)))
+	b.U32(uint32(len(m.outcomes.order)))
 	for _, txid := range m.outcomes.order {
-		e.u64(txid)
-		e.u8(m.outcomes.m[txid])
+		b.U64(txid)
+		b.U8(m.outcomes.m[txid])
 	}
-	return e.b
+	return b.Bytes()
 }
 
-// decodeStateLocked loads a checkpoint into a fresh memnode.
+// decodeStateLocked loads a checkpoint into a fresh memnode, copying the
+// bytes it keeps out of p.
 func (m *Memnode) decodeStateLocked(p []byte) error {
-	d := &dec{b: p}
-	if d.u8() != stateVersion {
-		return fmt.Errorf("sinfonia: unknown checkpoint version")
+	r := wire.NewReader(p)
+	v := r.U8()
+	if v == 1 {
+		return fmt.Errorf("checkpoint: %w", errOldFormat)
 	}
-	nItems := d.count(20) // addr + version + data length prefix per item
+	if v != stateVersion {
+		return errBadRecord
+	}
+	nItems := r.Count(8 + 8 + 4)
 	for i := 0; i < nItems; i++ {
-		addr := Addr(d.u64())
-		ver := d.u64()
-		data := d.bytes()
-		if d.err {
-			return errBadRecord
-		}
-		m.items[addr] = &item{data: data, version: ver}
+		addr := Addr(r.U64())
+		ver := r.U64()
+		data := r.Slice32()
+		m.items[addr] = &item{data: bytes.Clone(data), version: ver}
 	}
-	nStaged := d.count(20) // txid + three element-count prefixes per entry
+	nStaged := r.Count(8 + 4 + 4 + 4) // txid + three list counts
 	for i := 0; i < nStaged; i++ {
-		txid := d.u64()
-		addrs := make([]Addr, d.count(8))
-		for j := range addrs {
-			addrs[j] = Addr(d.u64())
-		}
-		participants := make([]NodeID, d.count(4))
-		for j := range participants {
-			participants[j] = NodeID(d.u32())
-		}
-		writes := make([]WriteItem, d.count(12))
-		for j := range writes {
-			writes[j].Node = m.id
-			writes[j].Addr = Addr(d.u64())
-			writes[j].Data = d.bytes()
-		}
-		if d.err {
-			return errBadRecord
-		}
-		m.staged[txid] = &staged{
-			writes:       writes,
-			addrs:        addrs,
-			participants: participants,
-			preparedAt:   replayPreparedAt(),
-		}
+		txid, st := decodeStaged(r)
+		cloneWriteData(st.writes)
+		m.staged[txid] = st
 	}
-	nOut := d.count(9) // txid + status byte per outcome
+	nOut := r.Count(8 + 1)
 	for i := 0; i < nOut; i++ {
-		txid := d.u64()
-		status := d.u8()
-		if d.err {
-			return errBadRecord
-		}
+		txid := r.U64()
+		status := r.U8()
 		m.outcomes.record(txid, status)
 	}
-	if d.err {
+	if finish(r) != nil {
 		return errBadRecord
 	}
 	return nil

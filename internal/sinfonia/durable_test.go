@@ -7,6 +7,7 @@ import (
 	"time"
 
 	"minuet/internal/wal"
+	"minuet/internal/wire"
 )
 
 // durTestTxid hands out distinct transaction ids within one test.
@@ -291,24 +292,24 @@ func TestDurableFailStop(t *testing.T) {
 func TestReplayRejectsHugeCounts(t *testing.T) {
 	m := NewMemnode(0)
 	// STAGE record claiming four billion locked addresses, then no body.
-	e := &enc{}
-	e.u8(recStage)
-	e.u64(1)
-	e.u32(0xFFFF_FFFF)
-	if err := m.replayRecordLocked(e.b); !errors.Is(err, errBadRecord) {
+	e := &wire.Buffer{}
+	e.U8(recStage)
+	e.U64(1)
+	e.U32(0xFFFF_FFFF)
+	if err := m.replayRecordLocked(e.Bytes()); !errors.Is(err, errBadRecord) {
 		t.Fatalf("huge addr count: got %v, want errBadRecord", err)
 	}
 
 	// Checkpoint whose staged transaction claims a huge write count.
-	e = &enc{}
-	e.u8(stateVersion)
-	e.u32(0)           // items
-	e.u32(1)           // one staged transaction
-	e.u64(7)           // txid
-	e.u32(0)           // addrs
-	e.u32(0)           // participants
-	e.u32(0xFFFF_FFFF) // writes: far past the end of the buffer
-	if err := m.decodeStateLocked(e.b); !errors.Is(err, errBadRecord) {
+	e = &wire.Buffer{}
+	e.U8(stateVersion)
+	e.U32(0)           // items
+	e.U32(1)           // one staged transaction
+	e.U64(7)           // txid
+	e.U32(0)           // addrs
+	e.U32(0)           // participants
+	e.U32(0xFFFF_FFFF) // writes: far past the end of the buffer
+	if err := m.decodeStateLocked(e.Bytes()); !errors.Is(err, errBadRecord) {
 		t.Fatalf("huge write count: got %v, want errBadRecord", err)
 	}
 }

@@ -368,7 +368,7 @@ func (m *Memnode) execCommit(r *ExecCommitReq) (*ExecResp, error) {
 	if rep != nil {
 		// Appended under m.mu so log order equals apply order; the fsync
 		// (group commit) happens below, outside the mutex.
-		lsn, err = m.walAppendLocked(encodeApply(r.Txid, false, rep))
+		lsn, err = m.walAppendLocked(encodeApplyRecord(false, rep))
 	}
 	m.mu.Unlock()
 	if err != nil {
@@ -414,13 +414,14 @@ func (m *Memnode) prepare(r *PrepareReq) (*ExecResp, error) {
 	for _, a := range addrs {
 		m.locked[a] = r.Txid
 	}
-	m.staged[r.Txid] = &staged{
+	st := &staged{
 		writes:       r.Writes,
 		addrs:        addrs,
 		participants: r.Participants,
 		preparedAt:   time.Now(),
 	}
-	lsn, err := m.walAppendLocked(encodeStage(r.Txid, addrs, r.Participants, r.Writes))
+	m.staged[r.Txid] = st
+	lsn, err := m.walAppendLocked(encodeStageRecord(r.Txid, st))
 	hasBackup := m.hasBackup
 	m.mu.Unlock()
 	if err != nil {
@@ -467,12 +468,12 @@ func (m *Memnode) commit(txid uint64) error {
 		rep = m.applyWritesLocked(st.writes)
 		if rep != nil {
 			rep.Txid = txid
-			lsn, err = m.walAppendLocked(encodeApply(txid, true, rep))
+			lsn, err = m.walAppendLocked(encodeApplyRecord(true, rep))
 		} else {
 			resolveOnly = m.hasBackup // nothing to write; still clear the mirror
 			// No writes, but the outcome still needs to be durable: the
 			// RESOLVE record clears the stage and fences a late abort.
-			lsn, err = m.walAppendLocked(encodeResolve(txid, false))
+			lsn, err = m.walAppendLocked(encodeResolveRecord(txid, false))
 		}
 		m.releaseLocked(txid, st)
 		m.outcomes.record(txid, TxnCommitted)
@@ -514,7 +515,7 @@ func (m *Memnode) abort(txid uint64) error {
 	if hadStage {
 		// Only staged aborts are logged: with no stage there is nothing a
 		// restart could resurrect, so the fence is only needed in memory.
-		lsn, err = m.walAppendLocked(encodeResolve(txid, true))
+		lsn, err = m.walAppendLocked(encodeResolveRecord(txid, true))
 	}
 	hasBackup := m.hasBackup
 	m.mu.Unlock()

@@ -140,8 +140,9 @@ const (
 	voteCompareFail
 )
 
-// Wire messages. These are shared by the in-process transport and the TCP
-// transport (encoding/gob), so all fields are exported.
+// Wire messages. The in-process transport passes them as Go values; the
+// TCP transport encodes them with the binary codec in codec.go, where each
+// has a tag byte and an append/decode pair.
 
 // ExecCommitReq executes a single-memnode minitransaction in one phase.
 type ExecCommitReq struct {

@@ -2,27 +2,25 @@ package wire
 
 import "fmt"
 
-// Multiplexed RPC frame header (transport protocol version 2).
+// Multiplexed RPC frame header (transport protocol version 3).
 //
-// Version 1 of the rpcnet protocol framed every message as a bare 4-byte
-// big-endian length prefix and used each connection synchronously: one
-// request, then its response, in lockstep. Version 2 multiplexes many
-// in-flight requests over one connection. A connection opens with a 4-byte
-// preamble (three magic bytes plus the protocol version), after which every
-// frame — in either direction — carries a fixed header holding the request
-// id that pairs responses with requests, a flags byte, and the payload
-// length. Responses may arrive in any order; the id is the only pairing.
+// A connection opens with a 4-byte preamble (three magic bytes plus the
+// protocol version), after which every frame — in either direction —
+// carries a fixed header holding the request id that pairs responses with
+// requests, a flags byte, and the payload length. Many requests may be in
+// flight on one connection; responses may arrive in any order, and the id
+// is the only pairing.
 //
 // The header is encoded little-endian like every other codec in this
-// package. The preamble is chosen so that a version-2 connection is
-// unmistakable to a version-1 peer: read as a v1 length prefix, the magic
-// bytes decode to a length far above the frame size limit, so a v1 server
-// rejects the connection instead of misparsing it (and a v2 server that
-// does not see the magic falls back to serving v1 framing). See
-// docs/WIRE.md for the full wire contract.
+// package. A server accepts exactly the current version: any other
+// preamble, including an older version's or a version-1 bare length
+// prefix, closes the connection. The magic bytes read as a big-endian
+// length are far above MaxFramePayload, so a version-1 peer cannot mistake
+// the preamble for a frame either. See docs/WIRE.md for the full wire
+// contract.
 
 // FrameVersion is the current multiplexed transport protocol version.
-const FrameVersion = 2
+const FrameVersion = 3
 
 // FramePreambleLen is the length of the connection preamble.
 const FramePreambleLen = 4
@@ -31,14 +29,15 @@ const FramePreambleLen = 4
 // (8 bytes) + flags (1 byte) + payload length (4 bytes).
 const FrameHeaderLen = 13
 
-// MaxFramePayload bounds a single frame's payload. Frames above it are a
-// protocol error and kill the connection.
+// MaxFramePayload bounds a single frame's payload. A received header
+// claiming more is a protocol error and kills the connection; senders
+// refuse to build such a frame in the first place.
 const MaxFramePayload = 64 << 20
 
 // framePreambleMagic is the first three bytes of the connection preamble.
-// 'M','N','X' read as a v1 big-endian length prefix is ≥ 0x4D000000
-// (~1.2 GiB), far above MaxFramePayload, so the two framings cannot be
-// confused.
+// 'M','N','X' read as a big-endian length prefix is ≥ 0x4D000000
+// (~1.2 GiB), far above MaxFramePayload, so it cannot be mistaken for the
+// length-prefixed framing of protocol version 1.
 var framePreambleMagic = [3]byte{'M', 'N', 'X'}
 
 // FrameFlags is the per-frame flags byte.
@@ -54,8 +53,7 @@ const (
 	FrameFlagThrottled FrameFlags = 1 << 1
 )
 
-// FrameHeader is the fixed header preceding every frame payload on a
-// version-2 connection.
+// FrameHeader is the fixed header preceding every frame payload.
 type FrameHeader struct {
 	// ID pairs a response with its request. Request ids are allocated by
 	// the connection's client side and are unique among that connection's
@@ -73,10 +71,11 @@ func AppendFramePreamble(dst []byte) []byte {
 	return append(dst, framePreambleMagic[0], framePreambleMagic[1], framePreambleMagic[2], FrameVersion)
 }
 
-// ParseFramePreamble checks a 4-byte connection preamble and returns the
-// negotiated protocol version. ok is false when the bytes are not a
-// multiplexed-transport preamble at all (e.g. a v1 length prefix); err is
-// non-nil when the preamble is recognized but the version is unsupported.
+// ParseFramePreamble checks a 4-byte connection preamble and returns its
+// protocol version. ok is false when the bytes are not a multiplexed-
+// transport preamble at all (e.g. a version-1 length prefix); err is
+// non-nil when the preamble is recognized but the version is not
+// FrameVersion.
 func ParseFramePreamble(p []byte) (version byte, ok bool, err error) {
 	if len(p) < FramePreambleLen {
 		return 0, false, fmt.Errorf("wire: short frame preamble: %d bytes", len(p))

@@ -105,6 +105,11 @@ type Buffer struct {
 // NewBuffer returns a Buffer with the given initial capacity.
 func NewBuffer(capacity int) *Buffer { return &Buffer{b: make([]byte, 0, capacity)} }
 
+// AppendTo returns a Buffer that appends to dst. Encoders that size their
+// output up front pass a dst with enough spare capacity, so nothing they
+// append reallocates.
+func AppendTo(dst []byte) Buffer { return Buffer{b: dst} }
+
 // Bytes returns the encoded bytes. The slice aliases the buffer.
 func (w *Buffer) Bytes() []byte { return w.b }
 
@@ -122,6 +127,15 @@ func (w *Buffer) U32(v uint32) { w.b = binary.LittleEndian.AppendUint32(w.b, v) 
 
 // U64 appends a little-endian uint64.
 func (w *Buffer) U64(v uint64) { w.b = binary.LittleEndian.AppendUint64(w.b, v) }
+
+// Bool appends a boolean as one byte, 0 or 1.
+func (w *Buffer) Bool(v bool) {
+	if v {
+		w.U8(1)
+	} else {
+		w.U8(0)
+	}
+}
 
 // Bytes16 appends a byte string with a uint16 length prefix.
 func (w *Buffer) Bytes16(p []byte) {
@@ -174,6 +188,15 @@ func (r *Reader) fail(what string) {
 	}
 }
 
+// Invalid records a decoding error for a value that was read in full but
+// is not well formed (a bad tag, parallel lists of different lengths). Like
+// truncation, the first error sticks and later reads return zero values.
+func (r *Reader) Invalid(what string) {
+	if r.err == nil {
+		r.err = fmt.Errorf("wire: invalid %s at offset %d", what, r.off)
+	}
+}
+
 // U8 reads one byte.
 func (r *Reader) U8() byte {
 	if r.err != nil || r.off+1 > len(r.b) {
@@ -218,6 +241,32 @@ func (r *Reader) U64() uint64 {
 	return v
 }
 
+// Bool reads a boolean written by Buffer.Bool. Any byte other than 0 or 1
+// is an error, so every accepted encoding re-encodes to the same bytes.
+func (r *Reader) Bool() bool {
+	v := r.U8()
+	if v > 1 {
+		r.Invalid("bool")
+	}
+	return v == 1
+}
+
+// Count reads a uint32 element count written by Buffer.U32 and bounds it by
+// the unread input: each element occupies at least minElem encoded bytes,
+// so a larger count cannot be backed by the input and is rejected here,
+// before the caller allocates for it. minElem must be at least 1.
+func (r *Reader) Count(minElem int) int {
+	n := int(r.U32())
+	if r.err != nil {
+		return 0
+	}
+	if n > r.Remaining()/minElem {
+		r.Invalid(fmt.Sprintf("count %d", n))
+		return 0
+	}
+	return n
+}
+
 // Bytes16 reads a uint16-length-prefixed byte string. The returned slice is
 // a copy, safe to retain.
 func (r *Reader) Bytes16() []byte {
@@ -242,6 +291,24 @@ func (r *Reader) Bytes32() []byte {
 	}
 	out := make([]byte, n)
 	copy(out, r.b[r.off:])
+	r.off += n
+	return out
+}
+
+// Slice32 reads a uint32-length-prefixed byte string without copying it:
+// the result aliases the Reader's input and is nil when empty. Use it only
+// when the input is never reused; a caller that retains the bytes beyond
+// the input's lifetime copies them (or uses Bytes32).
+func (r *Reader) Slice32() []byte {
+	n := int(r.U32())
+	if r.err != nil || n > r.Remaining() {
+		r.fail("bytes32")
+		return nil
+	}
+	if n == 0 {
+		return nil
+	}
+	out := r.b[r.off : r.off+n : r.off+n]
 	r.off += n
 	return out
 }

@@ -172,3 +172,44 @@ func TestFenceMarkerGarbage(t *testing.T) {
 		t.Fatal("bad fence marker must error")
 	}
 }
+
+// TestCountBoolSlice32 covers the reads the message codec is built on:
+// Count bounds a count by the unread input, Bool accepts only 0 and 1, and
+// Slice32 aliases the input (nil when empty).
+func TestCountBoolSlice32(t *testing.T) {
+	b := AppendTo(nil)
+	b.U32(2)
+	b.U64(7)
+	b.U64(8)
+	b.Bool(true)
+	b.Bytes32([]byte("abc"))
+	b.Bytes32(nil)
+	p := b.Bytes()
+
+	r := NewReader(p)
+	if n := r.Count(8); n != 2 {
+		t.Fatalf("Count = %d, want 2", n)
+	}
+	r.U64()
+	r.U64()
+	if !r.Bool() {
+		t.Fatal("Bool = false, want true")
+	}
+	s := r.Slice32()
+	if string(s) != "abc" || &s[0] != &p[len(p)-7] {
+		t.Fatalf("Slice32 = %q, want an alias of the input", s)
+	}
+	if e := r.Slice32(); e != nil || r.Err() != nil || r.Remaining() != 0 {
+		t.Fatalf("empty Slice32 = %v, err %v, %d bytes left", e, r.Err(), r.Remaining())
+	}
+
+	// Two 8-byte elements cannot fit in the 8 bytes after the count.
+	r = NewReader(p[:12])
+	if n := r.Count(8); n != 0 || r.Err() == nil {
+		t.Fatalf("over-long count: n=%d err=%v", n, r.Err())
+	}
+	r = NewReader([]byte{2})
+	if r.Bool(); r.Err() == nil {
+		t.Fatal("Bool accepted 2")
+	}
+}
