@@ -2,9 +2,12 @@ package core
 
 import (
 	"fmt"
+	"hash/fnv"
 	"math/rand"
+	"sync"
 	"testing"
 
+	"minuet/internal/dyntx"
 	"minuet/internal/wire"
 )
 
@@ -247,4 +250,92 @@ func TestBatchConcurrentSingleWriters(t *testing.T) {
 	}
 	sid, root := tipRoot(t, e)
 	walkInvariants(t, e, root, sid)
+}
+
+// TestBatchTxnIgnoresRecachedParent: a transaction that has rewritten an
+// interior node must keep reading its own pending image, even when another
+// operation on the same proxy re-caches the node's committed image in
+// between. Two batches share one transaction; each splits a different leaf
+// under the same root. Between them a Get on the shared handle re-caches
+// the root as committed. Were the second batch to rewrite the root from
+// that cached image, the first split's separator would be lost, and commit
+// would still validate: the root's read entry holds the version observed
+// before the first rewrite.
+func TestBatchTxnIgnoresRecachedParent(t *testing.T) {
+	cfg := smallCfg()
+	cfg.MaxInnerKeys = 16 // the root absorbs both splits without splitting
+	e := newEnv(t, 1, cfg)
+	for i := 0; i < 8; i += 2 {
+		if err := e.bt.ApplyBatch([]BatchOp{{Key: batchKey(10 * i), Val: []byte("v")}, {Key: batchKey(10*i + 10), Val: []byte("v")}}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	splitOps := func(base int) []BatchOp {
+		ops := make([]BatchOp, 0, 4)
+		for j := 1; j <= 4; j++ {
+			ops = append(ops, BatchOp{Key: batchKey(base + j), Val: []byte("new")})
+		}
+		return ops
+	}
+	err := dyntx.Run(e.c, dyntx.RunOptions{}, func(tx *dyntx.Txn) error {
+		if err := e.bt.BatchTxn(tx, splitOps(0)); err != nil {
+			return err
+		}
+		if _, _, err := e.bt.Get(batchKey(70)); err != nil {
+			return err
+		}
+		return e.bt.BatchTxn(tx, splitOps(70))
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	sid, root := tipRoot(t, e)
+	if got, want := walkInvariants(t, e, root, sid), 8+8; got != want {
+		t.Fatalf("tree holds %d keys, want %d", got, want)
+	}
+}
+
+// TestBatchSharedProxyGoroutines: goroutines batch-loading disjoint keys
+// through one shared tree handle must not lose each other's separators.
+func TestBatchSharedProxyGoroutines(t *testing.T) {
+	cfg := Config{NodeSize: 4096, DirtyTraversals: true}
+	for _, nodes := range []int{1, 3} {
+		e := newEnv(t, nodes, cfg)
+		const workers, perWorker, batch = 2, 1500, 64
+		var wg sync.WaitGroup
+		errs := make(chan error, workers)
+		for w := 0; w < workers; w++ {
+			wg.Add(1)
+			go func(w int) {
+				defer wg.Done()
+				for lo := 0; lo < perWorker; lo += batch {
+					ops := make([]BatchOp, 0, batch)
+					for i := lo; i < lo+batch && i < perWorker; i++ {
+						ops = append(ops, BatchOp{Key: hashedKey(w*perWorker + i), Val: val(i)})
+					}
+					if err := e.bt.ApplyBatch(ops); err != nil {
+						errs <- err
+						return
+					}
+				}
+			}(w)
+		}
+		wg.Wait()
+		close(errs)
+		for err := range errs {
+			t.Fatalf("%d memnodes: %v", nodes, err)
+		}
+		sid, root := tipRoot(t, e)
+		if got, want := walkInvariants(t, e, root, sid), workers*perWorker; got != want {
+			t.Fatalf("%d memnodes: tree holds %d keys, want %d", nodes, got, want)
+		}
+	}
+}
+
+// hashedKey spreads keys over the key space the way YCSB's loader does, so
+// concurrent batches interleave within leaves.
+func hashedKey(i int) wire.Key {
+	h := fnv.New64a()
+	fmt.Fprint(h, i)
+	return wire.Key(fmt.Sprintf("user%010d", h.Sum64()%10_000_000_000))
 }

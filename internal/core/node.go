@@ -89,6 +89,44 @@ func (n *Node) clone() *Node {
 	return c
 }
 
+// compactKeys copies the node's keys and fence keys into one allocation of
+// their own, so that a node kept beyond its operation does not pin the whole
+// image they were decoded from. n must not be shared yet.
+func (n *Node) compactKeys() {
+	size := len(fenceKey(n.Low)) + len(fenceKey(n.High))
+	for _, k := range n.Keys {
+		size += len(k)
+	}
+	a := make(arena, 0, size)
+	for i, k := range n.Keys {
+		n.Keys[i] = a.copy(k)
+	}
+	if k := fenceKey(n.Low); k != nil {
+		n.Low = wire.FenceAt(a.copy(k))
+	}
+	if k := fenceKey(n.High); k != nil {
+		n.High = wire.FenceAt(a.copy(k))
+	}
+}
+
+// arena hands out capacity-capped copies carved from one allocation; its
+// capacity is sized up front so copying never reallocates.
+type arena []byte
+
+func (a *arena) copy(p []byte) []byte {
+	start := len(*a)
+	*a = append(*a, p...)
+	return (*a)[start:len(*a):len(*a)]
+}
+
+// fenceKey returns f's concrete key, or nil for a sentinel.
+func fenceKey(f wire.Fence) wire.Key {
+	if f.IsNegInf() || f.IsPosInf() {
+		return nil
+	}
+	return f.Key()
+}
+
 // inRange reports whether key k lies within the node's fences:
 // low ≤ k < high for internal consistency with child ranges, except that
 // the rightmost node accepts k ≤ high = +inf implicitly.
@@ -183,6 +221,11 @@ var errNotANode = errors.New("core: data is not a B-tree node")
 // decodeNode deserializes a node; it returns errNotANode for malformed
 // input rather than panicking, because dirty traversals may legitimately
 // read garbage.
+//
+// Nothing is copied: keys, values and fence keys are capacity-capped
+// sub-slices of data, so data must never be written afterwards (see "Who
+// owns node bytes" in docs/ARCHITECTURE.md). A leaf decodes in three
+// allocations (the Node, Keys and Vals) whatever its key count.
 func decodeNode(data []byte) (*Node, error) {
 	if len(data) < HeaderLen || data[hdrMagic] != nodeMagic {
 		return nil, errNotANode
@@ -200,26 +243,29 @@ func decodeNode(data []byte) (*Node, error) {
 	if nr > 64 {
 		return nil, errNotANode
 	}
-	for i := 0; i < nr; i++ {
-		rd := Redirect{Sid: r.U64()}
+	if nr > 0 {
+		n.Redirects = make([]Redirect, nr)
+	}
+	for i := range n.Redirects {
+		rd := &n.Redirects[i]
+		rd.Sid = r.U64()
 		rd.Ptr.Node = sinfonia.NodeID(int32(r.U32()))
 		rd.Ptr.Addr = sinfonia.Addr(r.U64())
-		n.Redirects = append(n.Redirects, rd)
 	}
 	n.Low = r.Fence()
 	n.High = r.Fence()
 	nk := int(r.U16())
-	if nk > 1<<15 {
+	if nk > 1<<15 || nk > r.Remaining()/2 { // every key takes ≥ 2 bytes
 		return nil, errNotANode
 	}
 	n.Keys = make([]wire.Key, nk)
 	for i := 0; i < nk; i++ {
-		n.Keys[i] = r.Bytes16()
+		n.Keys[i] = r.Slice16()
 	}
 	if n.IsLeaf() {
 		n.Vals = make([][]byte, nk)
 		for i := 0; i < nk; i++ {
-			n.Vals[i] = r.Bytes16()
+			n.Vals[i] = r.Slice16()
 		}
 	} else {
 		n.Kids = make([]Ptr, nk+1)
@@ -228,7 +274,9 @@ func decodeNode(data []byte) (*Node, error) {
 			n.Kids[i].Addr = sinfonia.Addr(r.U64())
 		}
 	}
-	if r.Err() != nil {
+	// Trailing bytes are rejected too, so every accepted image is exactly
+	// what encode would produce for the decoded node.
+	if r.Err() != nil || r.Remaining() != 0 {
 		return nil, errNotANode
 	}
 	return n, nil

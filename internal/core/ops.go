@@ -1,6 +1,8 @@
 package core
 
 import (
+	"bytes"
+
 	"minuet/internal/dyntx"
 	"minuet/internal/wire"
 )
@@ -362,7 +364,10 @@ func (bt *BTree) writeRootLocation(t *dyntx.Txn, sid uint64, rootPtr Ptr) error 
 }
 
 // GetTxn looks up k at the tip inside an existing transaction. The caller
-// owns commit; on success the read is strictly serializable.
+// owns commit; on success the read is strictly serializable. The value is a
+// copy: the leaf image it was decoded from is the one commit validates, or
+// even writes (after a PutTxn in the same transaction), so handing out an
+// alias would let the caller change what commit sees.
 func (bt *BTree) GetTxn(t *dyntx.Txn, k wire.Key) ([]byte, bool, error) {
 	sid, root, err := bt.injectTip(t)
 	if err != nil {
@@ -377,7 +382,7 @@ func (bt *BTree) GetTxn(t *dyntx.Txn, k wire.Key) ([]byte, bool, error) {
 	if !ok {
 		return nil, false, nil
 	}
-	return leaf.Vals[i], true, nil
+	return bytes.Clone(leaf.Vals[i]), true, nil
 }
 
 // PutTxn inserts or updates k at the tip inside an existing transaction.

@@ -51,7 +51,8 @@ func (bt *BTree) ScanSnapshot(s Snapshot, start wire.Key, limit int) ([]KV, erro
 // range, the transaction aborts. This is precisely why the paper executes
 // long scans against snapshots instead ("these long scans may never
 // commit", §6.3); the method exists for short serializable ranges and to
-// demonstrate that behaviour.
+// demonstrate that behaviour. The pairs are copied out of the transaction's
+// images (see GetTxn).
 func (bt *BTree) ScanTipTxn(t *dyntx.Txn, start wire.Key, limit int) ([]KV, error) {
 	sid, root, err := bt.injectTip(t)
 	if err != nil {
@@ -74,7 +75,21 @@ func (bt *BTree) ScanTipTxn(t *dyntx.Txn, start wire.Key, limit int) ([]KV, erro
 		}
 		k = leaf.High.Key()
 	}
+	copyOut(out)
 	return out, nil
+}
+
+// copyOut repoints every key and value of kvs at one fresh allocation, so
+// the caller may keep or write them without touching a transaction's images.
+func copyOut(kvs []KV) {
+	size := 0
+	for _, kv := range kvs {
+		size += len(kv.Key) + len(kv.Val)
+	}
+	a := make(arena, 0, size)
+	for i := range kvs {
+		kvs[i].Key, kvs[i].Val = a.copy(kvs[i].Key), a.copy(kvs[i].Val)
+	}
 }
 
 // ScanTip runs ScanTipTxn as its own strictly serializable transaction. On

@@ -25,8 +25,16 @@ type pathEntry struct {
 // that commit validates the whole traversal path exactly as in Aguilera et
 // al. — while replication keeps those validations local to the commit's
 // memnode.
+//
+// A node t has already rewritten is never served from the cache: the
+// pending image is the only current one, and another goroutine sharing this
+// proxy may have re-cached the committed image since the rewrite
+// invalidated it. A later leaf group of a batch that rewrote its parent from
+// that stale image would drop the earlier group's separators, and commit
+// would not notice, because the parent's read entry still holds the version
+// observed before the first rewrite.
 func (bt *BTree) loadInner(t *dyntx.Txn, p Ptr) (*Node, uint64, error) {
-	if bt.cache != nil {
+	if _, pending := t.PendingWrite(refNode(p)); !pending && bt.cache != nil {
 		if e, ok := bt.cache.get(p); ok {
 			if !bt.cfg.DirtyTraversals {
 				t.InjectRead(bt.refSeq(p), e.seqVer, nil, e.seqVer != 0)
@@ -47,9 +55,7 @@ func (bt *BTree) loadInner(t *dyntx.Txn, p Ptr) (*Node, uint64, error) {
 		if err != nil {
 			return nil, 0, dyntx.ErrRetry
 		}
-		if bt.cache != nil && obj.Version > 0 && !n.IsLeaf() {
-			bt.cache.put(p, cacheEntry{node: n, version: obj.Version})
-		}
+		bt.cacheInner(p, n, obj.Version, 0)
 		return n, obj.Version, nil
 	}
 
@@ -77,10 +83,21 @@ func (bt *BTree) loadInner(t *dyntx.Txn, p Ptr) (*Node, uint64, error) {
 		// memnode version): the pending blind write supersedes it.
 		t.InjectRead(seqRef, seqVer, nil, objs[1].Exists)
 	}
-	if bt.cache != nil && objs[0].Version > 0 && !n.IsLeaf() {
-		bt.cache.put(p, cacheEntry{node: n, version: objs[0].Version, seqVer: seqVer})
-	}
+	bt.cacheInner(p, n, objs[0].Version, seqVer)
 	return n, objs[0].Version, nil
+}
+
+// cacheInner keeps a freshly fetched interior node in the proxy cache. Its
+// keys are first compacted into one allocation of their own, so the cache
+// entry does not pin the fetched image (or the transport frame it arrived
+// in). Version 0 marks an image served from the write set, which is never
+// cached.
+func (bt *BTree) cacheInner(p Ptr, n *Node, version, seqVer uint64) {
+	if bt.cache == nil || version == 0 || n.IsLeaf() {
+		return
+	}
+	n.compactKeys()
+	bt.cache.put(p, cacheEntry{node: n, version: version, seqVer: seqVer})
 }
 
 // loadLeaf fetches a leaf node. Up-to-date operations (validate=true) read

@@ -19,7 +19,7 @@ func encodeEntry(b *wire.Buffer, ver uint64, n uint32, key []byte) { // want `wi
 func decodeEntry(r *wire.Reader) (uint64, uint32, []byte) {
 	ver := r.U64()
 	n := uint32(r.U16())
-	key := r.Bytes16()
+	key := r.Slice16()
 	return ver, n, key
 }
 
@@ -56,7 +56,7 @@ func readHeader(r *wire.Reader) (uint8, []byte) {
 	version := r.U8()
 	var tag []byte
 	if version > 1 {
-		tag = r.Bytes16()
+		tag = r.Slice16()
 	}
 	return version, tag
 }

@@ -26,7 +26,8 @@ import (
 //
 //   - wire.Buffer / wire.Reader methods: u8 u16 u32 u64 bool bytes16
 //     bytes32 fence, with Reader.Count reading the u32 an encoder wrote
-//     via Buffer.U32 and Reader.Slice32 reading a Buffer.Bytes32
+//     via Buffer.U32, and Reader.Slice16 and Reader.Slice32 reading a
+//     Buffer.Bytes16 and a Buffer.Bytes32
 //   - encoding/binary: le:uN / be:uN from the endianness and width
 //
 // for/range loops wrap their ops in rep[...]; an if with identical ops in
@@ -277,12 +278,13 @@ func (ex *opExtractor) call(pkg *Package, call *ast.CallExpr) []string {
 
 // wireBufferOps maps wire.Buffer/wire.Reader methods to ops; the two types
 // mirror each other by construction. Reader.Count is the bounded read of an
-// element count, which an encoder writes with Buffer.U32; Reader.Slice32 is
-// the non-copying read of a Buffer.Bytes32.
+// element count, which an encoder writes with Buffer.U32; Reader.Slice16
+// and Reader.Slice32 are the non-copying reads of a Buffer.Bytes16 and a
+// Buffer.Bytes32.
 var wireBufferOps = map[string]string{
 	"U8": "u8", "U16": "u16", "U32": "u32", "U64": "u64", "Bool": "bool",
 	"Bytes16": "bytes16", "Bytes32": "bytes32", "Fence": "fence",
-	"Count": "u32", "Slice32": "bytes32",
+	"Count": "u32", "Slice16": "bytes16", "Slice32": "bytes32",
 }
 
 // primitiveOp recognizes the leaf wire operations. ok=true with op=""

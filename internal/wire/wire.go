@@ -267,16 +267,19 @@ func (r *Reader) Count(minElem int) int {
 	return n
 }
 
-// Bytes16 reads a uint16-length-prefixed byte string. The returned slice is
-// a copy, safe to retain.
-func (r *Reader) Bytes16() []byte {
+// Slice16 reads a uint16-length-prefixed byte string without copying it:
+// the result aliases the Reader's input, with its capacity capped at its
+// length so an append reallocates instead of overwriting the input. An
+// empty string reads as an empty, non-nil slice. Use it only when the input
+// is never reused; a caller that hands the bytes to code that may write
+// them copies first.
+func (r *Reader) Slice16() []byte {
 	n := int(r.U16())
-	if r.err != nil || r.off+n > len(r.b) {
+	if r.err != nil || n > r.Remaining() {
 		r.fail("bytes16")
 		return nil
 	}
-	out := make([]byte, n)
-	copy(out, r.b[r.off:])
+	out := r.b[r.off : r.off+n : r.off+n]
 	r.off += n
 	return out
 }
@@ -313,7 +316,8 @@ func (r *Reader) Slice32() []byte {
 	return out
 }
 
-// Fence reads a fence-key encoding.
+// Fence reads a fence-key encoding. A concrete key aliases the Reader's
+// input, as with Slice16.
 func (r *Reader) Fence() Fence {
 	kind := r.U8()
 	switch kind {
@@ -322,7 +326,7 @@ func (r *Reader) Fence() Fence {
 	case markerPosInf:
 		return PosInf
 	case markerKey:
-		return FenceAt(r.Bytes16())
+		return FenceAt(r.Slice16())
 	default:
 		r.fail("fence marker")
 		return NegInf

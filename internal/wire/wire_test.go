@@ -23,7 +23,7 @@ func TestBufferReaderRoundTrip(t *testing.T) {
 	if r.U8() != 0xAB || r.U16() != 0xBEEF || r.U32() != 0xDEADBEEF || r.U64() != 0x0123456789ABCDEF {
 		t.Fatal("integer round trip failed")
 	}
-	if string(r.Bytes16()) != "hello" || string(r.Bytes32()) != "world!" {
+	if string(r.Slice16()) != "hello" || string(r.Bytes32()) != "world!" {
 		t.Fatal("byte-string round trip failed")
 	}
 	if !r.Fence().IsNegInf() || !r.Fence().IsPosInf() {
@@ -64,7 +64,7 @@ func TestQuickBytes(t *testing.T) {
 		w.Bytes16(p)
 		w.Bytes32(p)
 		r := NewReader(w.Bytes())
-		a := r.Bytes16()
+		a := r.Slice16()
 		b := r.Bytes32()
 		return bytes.Equal(a, p) && bytes.Equal(b, p) && r.Err() == nil
 	}
@@ -84,7 +84,7 @@ func TestTruncationIsError(t *testing.T) {
 	for cut := 0; cut < len(full); cut++ {
 		r := NewReader(full[:cut])
 		r.U64()
-		r.Bytes16()
+		r.Slice16()
 		r.Fence()
 		if r.Err() == nil {
 			t.Fatalf("truncation at %d went undetected", cut)
@@ -211,5 +211,35 @@ func TestCountBoolSlice32(t *testing.T) {
 	r = NewReader([]byte{2})
 	if r.Bool(); r.Err() == nil {
 		t.Fatal("Bool accepted 2")
+	}
+}
+
+// TestSlice16AliasesAndCaps: Slice16 returns the input's own bytes, capped
+// so that appending to the result reallocates rather than overwriting the
+// bytes that follow; an empty string reads as empty and non-nil.
+func TestSlice16AliasesAndCaps(t *testing.T) {
+	b := AppendTo(nil)
+	b.Bytes16([]byte("abc"))
+	b.Bytes16(nil)
+	b.U8(0x5A)
+	p := b.Bytes()
+
+	r := NewReader(p)
+	s := r.Slice16()
+	if string(s) != "abc" || &s[0] != &p[2] || cap(s) != len(s) {
+		t.Fatalf("Slice16 = %q (cap %d), want a capped alias of the input", s, cap(s))
+	}
+	_ = append(s, 'X')
+	if e := r.Slice16(); e == nil || len(e) != 0 {
+		t.Fatalf("empty Slice16 = %#v, want empty non-nil", e)
+	}
+	if v := r.U8(); v != 0x5A || r.Err() != nil {
+		t.Fatalf("append through Slice16 result clobbered the input: %#x, err %v", v, r.Err())
+	}
+
+	// A length past the end of the input is an error, not a short slice.
+	r = NewReader([]byte{4, 0, 'a', 'b'})
+	if s := r.Slice16(); s != nil || r.Err() == nil {
+		t.Fatalf("over-long Slice16 = %q, err %v", s, r.Err())
 	}
 }

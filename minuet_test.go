@@ -518,3 +518,73 @@ func TestVersionQueriesThroughPublicAPI(t *testing.T) {
 		t.Fatalf("tips: %+v %v", tips, err)
 	}
 }
+
+// TestTxnReadsAreCopies: a value read inside a Tx belongs to the caller.
+// Writing into it must change neither later reads in the Tx nor what the
+// Tx commits — whether the value came from the Tx's own pending write or
+// from a leaf the Tx read and then rewrote for a neighbouring key.
+func TestTxnReadsAreCopies(t *testing.T) {
+	c := newTestCluster(t, Options{Machines: 2})
+	tree, err := c.CreateTree("t")
+	if err != nil {
+		t.Fatal(err)
+	}
+	orig := []byte("original")
+	scribble := func(p []byte) {
+		for i := range p {
+			p[i] = 'X'
+		}
+	}
+	getOrig := func(tx *Tx, key string) error {
+		v, ok, err := tx.Get(tree, []byte(key))
+		if err != nil {
+			return err
+		}
+		if !ok || !bytes.Equal(v, orig) {
+			return fmt.Errorf("in-Tx Get(%s) = %q %v, want %q", key, v, ok, orig)
+		}
+		scribble(v)
+		return nil
+	}
+	checkCommitted := func(key string) {
+		t.Helper()
+		v, ok, err := tree.Get([]byte(key))
+		if err != nil || !ok || !bytes.Equal(v, orig) {
+			t.Fatalf("Get(%s) after commit = %q %v %v, want %q", key, v, ok, err, orig)
+		}
+	}
+
+	// A value the Tx wrote itself.
+	err = c.Txn([]*Tree{tree}, func(tx *Tx) error {
+		if err := tx.Put(tree, []byte("k1"), orig); err != nil {
+			return err
+		}
+		if err := getOrig(tx, "k1"); err != nil {
+			return err
+		}
+		return getOrig(tx, "k1")
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	checkCommitted("k1")
+
+	// A value the Tx only read, followed by a write to the same leaf.
+	err = c.Txn([]*Tree{tree}, func(tx *Tx) error {
+		if err := getOrig(tx, "k1"); err != nil {
+			return err
+		}
+		if err := tx.Put(tree, []byte("k2"), orig); err != nil {
+			return err
+		}
+		if err := getOrig(tx, "k1"); err != nil {
+			return err
+		}
+		return getOrig(tx, "k2")
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	checkCommitted("k1")
+	checkCommitted("k2")
+}
