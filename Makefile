@@ -3,7 +3,7 @@
 
 GO ?= go
 
-.PHONY: build test lint fmt check vet-tool
+.PHONY: build test lint fmt check vet-tool loc
 
 build:
 	$(GO) build ./...
@@ -42,3 +42,13 @@ fmt:
 	fi
 
 check: build lint test
+
+# loc prints the production Go line count per package directory and in
+# total: non-test, non-testdata files of the root module (perfbench/ is a
+# module of its own). Every CHANGES.md entry states its net delta.
+loc:
+	@find . -name '*.go' ! -name '*_test.go' ! -path '*/testdata/*' \
+		! -path './perfbench/*' ! -path './.*' -exec wc -l {} + | \
+		awk '$$2 != "total" { d = $$2; sub("/[^/]*$$", "", d); n[d] += $$1; all += $$1 } \
+			END { for (d in n) printf "%7d %s\n", n[d], d; printf "%7d total\n", all }' | \
+		sort -k2

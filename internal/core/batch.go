@@ -1,10 +1,8 @@
 package core
 
 import (
-	"errors"
 	"sort"
 
-	"minuet/internal/catalog"
 	"minuet/internal/dyntx"
 	"minuet/internal/wire"
 )
@@ -67,30 +65,7 @@ func (bt *BTree) ApplyBatch(ops []BatchOp) error {
 	if len(ops) == 0 {
 		return nil
 	}
-	norm := normalizeBatch(ops)
-	if bt.cfg.Branching {
-		return bt.applyBatchMainline(norm)
-	}
-	return bt.run(func(t *dyntx.Txn) error { return bt.batchTxnTip(t, norm) })
-}
-
-// applyBatchMainline applies a normalized batch to the current mainline tip,
-// re-resolving when a concurrent branch freezes the tip mid-flight (the
-// paper's default retry rule, §5.1).
-func (bt *BTree) applyBatchMainline(norm []BatchOp) error {
-	var lastErr error
-	for attempt := 0; attempt < 64; attempt++ {
-		tip, err := bt.ResolveTip(initialSnapID)
-		if err != nil {
-			return err
-		}
-		err = bt.run(func(t *dyntx.Txn) error { return bt.batchTxnAt(t, tip, norm) })
-		if err == nil || !errors.Is(err, ErrNotWritable) {
-			return err
-		}
-		lastErr = err
-	}
-	return lastErr
+	return bt.run(func(t *dyntx.Txn) error { return bt.BatchTxn(t, ops) })
 }
 
 // ApplyBatchAt applies ops as one atomic batch to writable version sid of a
@@ -100,11 +75,7 @@ func (bt *BTree) ApplyBatchAt(sid uint64, ops []BatchOp) error {
 	if len(ops) == 0 {
 		return nil
 	}
-	if !bt.cfg.Branching {
-		return ErrNotBranching
-	}
-	norm := normalizeBatch(ops)
-	return bt.run(func(t *dyntx.Txn) error { return bt.batchTxnAt(t, sid, norm) })
+	return bt.run(func(t *dyntx.Txn) error { return bt.BatchTxnAt(t, sid, ops) })
 }
 
 // BatchTxn assembles ops into an existing dynamic transaction. The caller
@@ -115,15 +86,11 @@ func (bt *BTree) BatchTxn(t *dyntx.Txn, ops []BatchOp) error {
 	if len(ops) == 0 {
 		return nil
 	}
-	norm := normalizeBatch(ops)
-	if bt.cfg.Branching {
-		tip, err := bt.ResolveTip(initialSnapID)
-		if err != nil {
-			return err
-		}
-		return bt.batchTxnAt(t, tip, norm)
+	tg, err := bt.injectTip(t)
+	if err != nil {
+		return err
 	}
-	return bt.batchTxnTip(t, norm)
+	return bt.batchTxn(t, tg, normalizeBatch(ops))
 }
 
 // BatchTxnAt assembles ops targeting writable version sid into an existing
@@ -135,97 +102,29 @@ func (bt *BTree) BatchTxnAt(t *dyntx.Txn, sid uint64, ops []BatchOp) error {
 	if !bt.cfg.Branching {
 		return ErrNotBranching
 	}
-	return bt.batchTxnAt(t, sid, normalizeBatch(ops))
-}
-
-// batchTxnTip targets the linear tip: the replicated tip objects join the
-// read set and a root split mid-batch is observed through the pending write
-// of the tip-root cell.
-func (bt *BTree) batchTxnTip(t *dyntx.Txn, ops []BatchOp) error {
-	sid, root, err := bt.injectTip(t)
+	tg, err := bt.injectBranch(t, sid)
 	if err != nil {
 		return err
 	}
-	curRoot := func() Ptr {
-		if d, ok := t.PendingWrite(bt.refTipRoot()); ok {
-			return decodePtr(d) // the batch split the root earlier in this txn
-		}
-		return root
-	}
-	return bt.batchSweep(t, sid, root, curRoot, ops)
+	return bt.batchTxn(t, tg, normalizeBatch(ops))
 }
 
-// batchTxnAt targets writable version sid of a branching tree: the catalog
-// slot joins the read set (injectBranch) and root growth is observed through
-// the pending write of that slot, where writeBranchRoot lands it.
-func (bt *BTree) batchTxnAt(t *dyntx.Txn, sid uint64, ops []BatchOp) error {
-	root, err := bt.injectBranch(t, sid)
-	if err != nil {
-		return err
-	}
-	rootRef := bt.cat.Ref(sid)
-	curRoot := func() Ptr {
-		if d, ok := t.PendingWrite(rootRef); ok {
-			if e, err := catalog.Decode(d); err == nil {
-				return e.Root // the batch grew the root earlier in this txn
-			}
-		}
-		return root
-	}
-	return bt.batchSweep(t, sid, root, curRoot, ops)
-}
-
-// batchSweep is the sorted leaf sweep shared by the tip and branch paths.
-// ops must be normalized; curRoot reports the root as of the transaction's
-// buffered writes so later leaf-groups observe earlier root growth.
-func (bt *BTree) batchSweep(t *dyntx.Txn, sid uint64, root Ptr, curRoot func() Ptr, ops []BatchOp) error {
-	// Prefetch the touched leaves into the read set, one concurrent
-	// multi-read minitransaction per memnode. Best-effort: on any planning
-	// hiccup the sweep below fetches leaves itself (one round trip each).
-	bt.prefetchBatchLeaves(t, root, sid, ops)
-
-	// Sweep the sorted ops leaf by leaf. Each group re-traverses through
-	// the transaction: dirty reads are shadowed by the write set, so a
-	// parent (or root) rewritten by an earlier group in this same
-	// transaction is observed by later groups with no network traffic.
-	for i := 0; i < len(ops); {
-		path, err := bt.traverse(t, curRoot(), sid, ops[i].Key, true)
+// batchTxn applies normalized ops at tg: it prefetches the touched leaves,
+// then sweeps the sorted ops leaf by leaf. Each group re-traverses through
+// the transaction: dirty reads are shadowed by the write set, and curRoot
+// follows a root grown earlier in the same transaction, so a parent (or
+// root) rewritten by an earlier group is observed by later groups with no
+// network traffic.
+func (bt *BTree) batchTxn(t *dyntx.Txn, tg target, ops []BatchOp) error {
+	// Best-effort: on any planning hiccup the sweep fetches leaves itself
+	// (one round trip each).
+	bt.prefetchBatchLeaves(t, bt.curRoot(t, tg), tg.sid, ops)
+	for len(ops) > 0 {
+		n, _, err := bt.editLeaf(t, tg, ops)
 		if err != nil {
 			return err
 		}
-		leaf := path[len(path)-1]
-		nl := leaf.node.clone()
-		changed := false
-		j := i
-		for ; j < len(ops) && leaf.node.inRange(ops[j].Key); j++ {
-			op := ops[j]
-			idx, found := nl.search(op.Key)
-			if op.Delete {
-				if found {
-					nl.Keys = append(nl.Keys[:idx], nl.Keys[idx+1:]...)
-					nl.Vals = append(nl.Vals[:idx], nl.Vals[idx+1:]...)
-					changed = true
-				}
-				continue
-			}
-			if found {
-				nl.Vals[idx] = op.Val
-			} else {
-				nl.Keys = append(nl.Keys, nil)
-				copy(nl.Keys[idx+1:], nl.Keys[idx:])
-				nl.Keys[idx] = op.Key
-				nl.Vals = append(nl.Vals, nil)
-				copy(nl.Vals[idx+1:], nl.Vals[idx:])
-				nl.Vals[idx] = op.Val
-			}
-			changed = true
-		}
-		if changed {
-			if err := bt.applyUpdate(t, sid, path, len(path)-1, nl); err != nil {
-				return err
-			}
-		}
-		i = j
+		ops = ops[n:]
 	}
 	return nil
 }
@@ -248,11 +147,11 @@ func (bt *BTree) prefetchBatchLeaves(t *dyntx.Txn, root Ptr, sid uint64, ops []B
 			continue // same planned leaf as the previous op
 		}
 		curPtr := root
-		cur, _, err := bt.loadInner(t, curPtr)
+		cur, ver, err := bt.loadInner(t, curPtr)
 		if err != nil {
 			return
 		}
-		if curPtr, cur, err = bt.planRedirects(t, curPtr, cur, sid); err != nil {
+		if curPtr, cur, _, err = bt.followRedirects(t, curPtr, cur, ver, sid, false); err != nil {
 			return
 		}
 		if cur.IsLeaf() || !bt.checkNode(cur, sid, op.Key) {
@@ -261,11 +160,11 @@ func (bt *BTree) prefetchBatchLeaves(t *dyntx.Txn, root Ptr, sid uint64, ops []B
 		for cur.Height > 1 {
 			i := cur.childIndex(op.Key)
 			nextPtr := cur.Kids[i]
-			next, _, err := bt.loadInner(t, nextPtr)
+			next, ver, err := bt.loadInner(t, nextPtr)
 			if err != nil {
 				return
 			}
-			if nextPtr, next, err = bt.planRedirects(t, nextPtr, next, sid); err != nil {
+			if nextPtr, next, _, err = bt.followRedirects(t, nextPtr, next, ver, sid, false); err != nil {
 				return
 			}
 			if next.Height != cur.Height-1 || !bt.checkNode(next, sid, op.Key) {
@@ -314,27 +213,4 @@ func (bt *BTree) prefetchBatchLeaves(t *dyntx.Txn, root Ptr, sid uint64, ops []B
 		}
 		refs = next
 	}
-}
-
-// planRedirects resolves branching-mode redirects on interior nodes during
-// batch planning, using dirty loads only (no read-set growth). A no-op on
-// linear trees.
-func (bt *BTree) planRedirects(t *dyntx.Txn, p Ptr, n *Node, sid uint64) (Ptr, *Node, error) {
-	if !bt.cfg.Branching {
-		return p, n, nil
-	}
-	for hops := 0; hops < 64; hops++ {
-		tp, ok, err := bt.bestRedirect(n, sid)
-		if err != nil {
-			return Ptr{}, nil, err
-		}
-		if !ok {
-			return p, n, nil
-		}
-		p = tp
-		if n, _, err = bt.loadInner(t, p); err != nil {
-			return Ptr{}, nil, err
-		}
-	}
-	return Ptr{}, nil, dyntx.ErrRetry
 }

@@ -277,7 +277,7 @@ func TestBatchTxnIgnoresRecachedParent(t *testing.T) {
 		}
 		return ops
 	}
-	err := dyntx.Run(e.c, dyntx.RunOptions{}, func(tx *dyntx.Txn) error {
+	err := dyntx.Run(e.c, func(tx *dyntx.Txn) error {
 		if err := e.bt.BatchTxn(tx, splitOps(0)); err != nil {
 			return err
 		}

@@ -35,17 +35,18 @@ var ErrNotBranching = errors.New("core: tree is not in branching mode")
 
 // injectBranch validates that sid is a writable tip by adding its catalog
 // slot to the read set (the branching analogue of validating the tip
-// snapshot id), and returns the branch's root location.
-func (bt *BTree) injectBranch(t *dyntx.Txn, sid uint64) (Ptr, error) {
+// snapshot id), and returns the version as a target.
+func (bt *BTree) injectBranch(t *dyntx.Txn, sid uint64) (target, error) {
 	e, err := bt.cat.Get(sid)
 	if err != nil {
-		return Ptr{}, err
+		return target{}, err
 	}
 	if !e.Writable() {
-		return Ptr{}, fmt.Errorf("%w: snapshot %d branched to %d", ErrNotWritable, sid, e.BranchID)
+		return target{}, fmt.Errorf("%w: snapshot %d branched to %d", ErrNotWritable, sid, e.BranchID)
 	}
-	t.InjectRead(bt.cat.Ref(sid), e.Version, catalog.Encode(e), true)
-	return e.Root, nil
+	ref := bt.cat.Ref(sid)
+	t.InjectRead(ref, e.Version, catalog.Encode(e), true)
+	return target{sid: sid, root: e.Root, rootRef: ref}, nil
 }
 
 // CreateBranchTxn branches a new writable version off snapshot `from`
@@ -149,23 +150,21 @@ func (bt *BTree) GetAt(sid uint64, k wire.Key) (val []byte, ok bool, err error) 
 		return nil, false, err
 	}
 	err = bt.run(func(t *dyntx.Txn) error {
-		root := e.Root
-		validate := e.Writable()
+		root, validate := e.Root, e.Writable()
 		if validate {
-			var err2 error
-			if root, err2 = bt.injectBranch(t, sid); err2 != nil {
-				// Lost its writability mid-retry: fall back to snapshot read.
-				if errors.Is(err2, ErrNotWritable) {
-					validate = false
-					root = e.Root
-				} else {
-					return err2
-				}
+			tg, err := bt.injectBranch(t, sid)
+			switch {
+			case errors.Is(err, ErrNotWritable):
+				validate = false // lost its writability mid-retry: read it as a snapshot
+			case err != nil:
+				return err
+			default:
+				root = tg.root
 			}
 		}
-		path, e2 := bt.traverse(t, root, sid, k, validate)
-		if e2 != nil {
-			return e2
+		path, err := bt.traverse(t, root, sid, k, validate)
+		if err != nil {
+			return err
 		}
 		leaf := path[len(path)-1].node
 		i, found := leaf.search(k)
@@ -182,24 +181,23 @@ func (bt *BTree) GetAt(sid uint64, k wire.Key) (val []byte, ok bool, err error) 
 // PutAt inserts or updates k in writable version sid.
 func (bt *BTree) PutAt(sid uint64, k wire.Key, v []byte) error {
 	return bt.run(func(t *dyntx.Txn) error {
-		root, err := bt.injectBranch(t, sid)
+		tg, err := bt.injectBranch(t, sid)
 		if err != nil {
 			return err
 		}
-		return bt.putAt(t, sid, root, k, v)
+		return bt.putAt(t, tg, k, v)
 	})
 }
 
 // RemoveAt deletes k in writable version sid.
 func (bt *BTree) RemoveAt(sid uint64, k wire.Key) (existed bool, err error) {
 	err = bt.run(func(t *dyntx.Txn) error {
-		root, err := bt.injectBranch(t, sid)
+		tg, err := bt.injectBranch(t, sid)
 		if err != nil {
 			return err
 		}
-		var e error
-		existed, e = bt.removeAt(t, sid, root, k)
-		return e
+		existed, err = bt.removeAt(t, tg, k)
+		return err
 	})
 	return existed, err
 }
@@ -207,7 +205,7 @@ func (bt *BTree) RemoveAt(sid uint64, k wire.Key) (existed bool, err error) {
 // ScanAt returns up to limit pairs with key ≥ start from version sid.
 // Read-only versions scan without validation; writable tips validate every
 // leaf (short ranges only, like ScanTip).
-func (bt *BTree) ScanAt(sid uint64, start wire.Key, limit int) ([]KV, error) {
+func (bt *BTree) ScanAt(sid uint64, start wire.Key, limit int) (out []KV, err error) {
 	e, err := bt.cat.Get(sid)
 	if err != nil {
 		return nil, err
@@ -215,30 +213,13 @@ func (bt *BTree) ScanAt(sid uint64, start wire.Key, limit int) ([]KV, error) {
 	if !e.Writable() {
 		return bt.ScanSnapshot(Snapshot{Sid: sid, Root: e.Root}, start, limit)
 	}
-	var out []KV
 	err = bt.run(func(t *dyntx.Txn) error {
-		root, err := bt.injectBranch(t, sid)
+		tg, err := bt.injectBranch(t, sid)
 		if err != nil {
 			return err
 		}
-		out = out[:0]
-		k := start
-		for len(out) < limit {
-			path, err := bt.traverse(t, root, sid, k, true)
-			if err != nil {
-				return err
-			}
-			leaf := path[len(path)-1].node
-			i, _ := leaf.search(k)
-			for ; i < len(leaf.Keys) && len(out) < limit; i++ {
-				out = append(out, KV{Key: leaf.Keys[i], Val: leaf.Vals[i]})
-			}
-			if leaf.High.IsPosInf() {
-				break
-			}
-			k = leaf.High.Key()
-		}
-		return nil
+		out, err = bt.scanTxn(t, tg, start, limit)
+		return err
 	})
 	return out, err
 }

@@ -362,7 +362,7 @@ func TestMultiTreeTransaction(t *testing.T) {
 		t.Fatal(err)
 	}
 	// Atomically write to both trees.
-	err = dyntx.Run(e.c, dyntx.RunOptions{}, func(t2 *dyntx.Txn) error {
+	err = dyntx.Run(e.c, func(t2 *dyntx.Txn) error {
 		if err := e.bt.PutTxn(t2, key(1), []byte("a")); err != nil {
 			return err
 		}

@@ -369,11 +369,11 @@ func (bt *BTree) writeRootLocation(t *dyntx.Txn, sid uint64, rootPtr Ptr) error 
 // even writes (after a PutTxn in the same transaction), so handing out an
 // alias would let the caller change what commit sees.
 func (bt *BTree) GetTxn(t *dyntx.Txn, k wire.Key) ([]byte, bool, error) {
-	sid, root, err := bt.injectTip(t)
+	tg, err := bt.injectTip(t)
 	if err != nil {
 		return nil, false, err
 	}
-	path, err := bt.traverse(t, root, sid, k, true)
+	path, err := bt.traverse(t, bt.curRoot(t, tg), tg.sid, k, true)
 	if err != nil {
 		return nil, false, err
 	}
@@ -387,70 +387,80 @@ func (bt *BTree) GetTxn(t *dyntx.Txn, k wire.Key) ([]byte, bool, error) {
 
 // PutTxn inserts or updates k at the tip inside an existing transaction.
 func (bt *BTree) PutTxn(t *dyntx.Txn, k wire.Key, v []byte) error {
-	sid, root, err := bt.injectTip(t)
+	tg, err := bt.injectTip(t)
 	if err != nil {
 		return err
 	}
-	return bt.putAt(t, sid, root, k, v)
-}
-
-// putAt performs the write at an explicit (sid, root) target; shared by tip
-// and branch operations.
-func (bt *BTree) putAt(t *dyntx.Txn, sid uint64, root Ptr, k wire.Key, v []byte) error {
-	path, err := bt.traverse(t, root, sid, k, true)
-	if err != nil {
-		return err
-	}
-	leaf := path[len(path)-1].node
-	nl := leaf.clone()
-	i, found := nl.search(k)
-	if found {
-		nl.Vals[i] = v
-	} else {
-		nl.Keys = append(nl.Keys, nil)
-		copy(nl.Keys[i+1:], nl.Keys[i:])
-		nl.Keys[i] = k
-		nl.Vals = append(nl.Vals, nil)
-		copy(nl.Vals[i+1:], nl.Vals[i:])
-		nl.Vals[i] = v
-	}
-	return bt.applyUpdate(t, sid, path, len(path)-1, nl)
+	return bt.putAt(t, tg, k, v)
 }
 
 // RemoveTxn deletes k at the tip inside an existing transaction, reporting
 // whether the key was present. Minuet does not merge under-full nodes (see
 // DESIGN.md): empty leaves keep their fences and remain correct.
 func (bt *BTree) RemoveTxn(t *dyntx.Txn, k wire.Key) (bool, error) {
-	sid, root, err := bt.injectTip(t)
+	tg, err := bt.injectTip(t)
 	if err != nil {
 		return false, err
 	}
-	return bt.removeAt(t, sid, root, k)
+	return bt.removeAt(t, tg, k)
 }
 
-func (bt *BTree) removeAt(t *dyntx.Txn, sid uint64, root Ptr, k wire.Key) (bool, error) {
-	path, err := bt.traverse(t, root, sid, k, true)
+// putAt inserts or updates k at tg; shared by tip and branch operations.
+func (bt *BTree) putAt(t *dyntx.Txn, tg target, k wire.Key, v []byte) error {
+	_, _, err := bt.editLeaf(t, tg, []BatchOp{{Key: k, Val: v}})
+	return err
+}
+
+// removeAt deletes k at tg, reporting whether the key was present.
+func (bt *BTree) removeAt(t *dyntx.Txn, tg target, k wire.Key) (bool, error) {
+	_, existed, err := bt.editLeaf(t, tg, []BatchOp{{Key: k, Delete: true}})
+	return existed, err
+}
+
+// editLeaf is the one leaf edit behind every write. It traverses to the leaf
+// of tg responsible for ops[0].Key, applies to a private copy of it the
+// leading ops (sorted by key) that fall in that leaf, and installs the copy
+// with applyUpdate if any of them changed it. It reports how many ops it
+// consumed and whether the leaf changed. Single-key writes pass one op; the
+// batch sweep calls it once per touched leaf.
+func (bt *BTree) editLeaf(t *dyntx.Txn, tg target, ops []BatchOp) (n int, changed bool, err error) {
+	path, err := bt.traverse(t, bt.curRoot(t, tg), tg.sid, ops[0].Key, true)
 	if err != nil {
-		return false, err
+		return 0, false, err
 	}
 	leaf := path[len(path)-1].node
-	i, found := leaf.search(k)
-	if !found {
-		return false, nil
-	}
 	nl := leaf.clone()
-	nl.Keys = append(nl.Keys[:i], nl.Keys[i+1:]...)
-	nl.Vals = append(nl.Vals[:i], nl.Vals[i+1:]...)
-	if err := bt.applyUpdate(t, sid, path, len(path)-1, nl); err != nil {
-		return false, err
+	for ; n < len(ops) && leaf.inRange(ops[n].Key); n++ {
+		op := ops[n]
+		i, found := nl.search(op.Key)
+		switch {
+		case op.Delete && !found:
+			continue
+		case op.Delete:
+			nl.Keys = append(nl.Keys[:i], nl.Keys[i+1:]...)
+			nl.Vals = append(nl.Vals[:i], nl.Vals[i+1:]...)
+		case found:
+			nl.Vals[i] = op.Val
+		default:
+			nl.Keys = append(nl.Keys, nil)
+			copy(nl.Keys[i+1:], nl.Keys[i:])
+			nl.Keys[i] = op.Key
+			nl.Vals = append(nl.Vals, nil)
+			copy(nl.Vals[i+1:], nl.Vals[i:])
+			nl.Vals[i] = op.Val
+		}
+		changed = true
 	}
-	return true, nil
+	if changed {
+		err = bt.applyUpdate(t, tg.sid, path, len(path)-1, nl)
+	}
+	return n, changed, err
 }
 
 // Get looks up k at the tip (strictly serializable). On a branching tree
 // the tip is the mainline's current writable version (see injectTip).
 func (bt *BTree) Get(k wire.Key) (val []byte, ok bool, err error) {
-	err = bt.runTip(func(t *dyntx.Txn) error {
+	err = bt.run(func(t *dyntx.Txn) error {
 		var e error
 		val, ok, e = bt.GetTxn(t, k)
 		return e
@@ -462,13 +472,13 @@ func (bt *BTree) Get(k wire.Key) (val []byte, ok bool, err error) {
 // on the mainline's current writable version, re-resolving if a concurrent
 // branch freezes it mid-flight.
 func (bt *BTree) Put(k wire.Key, v []byte) error {
-	return bt.runTip(func(t *dyntx.Txn) error { return bt.PutTxn(t, k, v) })
+	return bt.run(func(t *dyntx.Txn) error { return bt.PutTxn(t, k, v) })
 }
 
 // Remove deletes k at the tip, reporting whether it was present. Branching
 // trees resolve the tip like Put.
 func (bt *BTree) Remove(k wire.Key) (existed bool, err error) {
-	err = bt.runTip(func(t *dyntx.Txn) error {
+	err = bt.run(func(t *dyntx.Txn) error {
 		var e error
 		existed, e = bt.RemoveTxn(t, k)
 		return e

@@ -54,14 +54,20 @@ func (bt *BTree) ScanSnapshot(s Snapshot, start wire.Key, limit int) ([]KV, erro
 // demonstrate that behaviour. The pairs are copied out of the transaction's
 // images (see GetTxn).
 func (bt *BTree) ScanTipTxn(t *dyntx.Txn, start wire.Key, limit int) ([]KV, error) {
-	sid, root, err := bt.injectTip(t)
+	tg, err := bt.injectTip(t)
 	if err != nil {
 		return nil, err
 	}
+	return bt.scanTxn(t, tg, start, limit)
+}
+
+// scanTxn reads up to limit pairs with key ≥ start from tg inside t, adding
+// every leaf to the read set, and copies them out (copyOut).
+func (bt *BTree) scanTxn(t *dyntx.Txn, tg target, start wire.Key, limit int) ([]KV, error) {
 	out := make([]KV, 0, min(limit, 1024))
 	k := start
 	for len(out) < limit {
-		path, err := bt.traverse(t, root, sid, k, true)
+		path, err := bt.traverse(t, bt.curRoot(t, tg), tg.sid, k, true)
 		if err != nil {
 			return nil, err
 		}
@@ -95,7 +101,7 @@ func copyOut(kvs []KV) {
 // ScanTip runs ScanTipTxn as its own strictly serializable transaction. On
 // a branching tree the tip is the mainline's current writable version.
 func (bt *BTree) ScanTip(start wire.Key, limit int) (out []KV, err error) {
-	err = bt.runTip(func(t *dyntx.Txn) error {
+	err = bt.run(func(t *dyntx.Txn) error {
 		var e error
 		out, e = bt.ScanTipTxn(t, start, limit)
 		return e

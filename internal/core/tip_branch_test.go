@@ -1,6 +1,7 @@
 package core
 
 import (
+	"sync"
 	"testing"
 )
 
@@ -79,5 +80,94 @@ func TestTipOpsFollowMainlineOnBranchingTree(t *testing.T) {
 	kvs, err := e.bt.ScanTip(nil, n+10)
 	if err != nil || len(kvs) != n {
 		t.Fatalf("plain ScanTip after branch: %d keys, %v", len(kvs), err)
+	}
+}
+
+// TestTipWritesRaceWithBranching: un-addressed Puts and ApplyBatches from
+// several goroutines (two sharing a proxy with the brancher, one on a proxy
+// of its own) run while another goroutine keeps branching the mainline tip.
+// A freeze that lands between a writer's tip resolution and its commit must
+// be retried inside the operation: no ErrNotWritable and no give-up may
+// reach a caller, and every acknowledged key must be readable at the final
+// mainline tip.
+func TestTipWritesRaceWithBranching(t *testing.T) {
+	e := newEnv(t, 2, branchCfg(2))
+	for i := 0; i < 40; i++ {
+		mustPut(t, e.bt, i)
+	}
+	const writers, minRounds, batch, branches = 3, 8, 4, 12
+	handles := []*BTree{e.bt, e.bt, e.openProxy(t, e.nodes[1])}
+	acked := make([][]int, writers)
+	errs := make(chan error, writers+1)
+	branched := make(chan struct{})
+	go func() {
+		defer close(branched)
+		for i := 0; i < branches; i++ {
+			tip, err := e.bt.ResolveTip(initialSnapID)
+			if err == nil {
+				_, err = e.bt.CreateBranch(tip)
+			}
+			if err != nil {
+				errs <- err
+				return
+			}
+		}
+	}()
+	var wg sync.WaitGroup
+	for w := 0; w < writers; w++ {
+		wg.Add(1)
+		go func(w int, bt *BTree) {
+			defer wg.Done()
+			// Keep writing until every branch exists, so writes straddle all
+			// of the freezes.
+			for r := 0; ; r++ {
+				if r >= minRounds {
+					select {
+					case <-branched:
+						return
+					default:
+					}
+				}
+				base, n := 1000+w*100000+r*batch, 1 // even rounds Put, odd rounds ApplyBatch
+				if r%2 == 1 {
+					n = batch
+				}
+				ops := make([]BatchOp, n)
+				for j := range ops {
+					ops[j] = BatchOp{Key: key(base + j), Val: val(base + j)}
+				}
+				var err error
+				if len(ops) == 1 {
+					err = bt.Put(ops[0].Key, ops[0].Val)
+				} else {
+					err = bt.ApplyBatch(ops)
+				}
+				if err != nil {
+					errs <- err
+					return
+				}
+				for j := range ops {
+					acked[w] = append(acked[w], base+j)
+				}
+			}
+		}(w, handles[w])
+	}
+	wg.Wait()
+	<-branched
+	close(errs)
+	for err := range errs {
+		t.Fatalf("caller saw %v", err)
+	}
+
+	tip, err := e.bt.ResolveTip(initialSnapID)
+	if err != nil || tip != initialSnapID+branches {
+		t.Fatalf("mainline tip %d (%v), want %d", tip, err, initialSnapID+branches)
+	}
+	for w := range acked {
+		for _, i := range acked[w] {
+			if v, ok, err := e.bt.GetAt(tip, key(i)); err != nil || !ok || string(v) != string(val(i)) {
+				t.Fatalf("acknowledged key %d at tip %d: %q %v %v", i, tip, v, ok, err)
+			}
+		}
 	}
 }

@@ -4,10 +4,8 @@ import (
 	"encoding/binary"
 	"errors"
 	"fmt"
-	"math/rand"
 	"sync"
 	"sync/atomic"
-	"time"
 
 	"minuet/internal/alloc"
 	"minuet/internal/catalog"
@@ -323,36 +321,66 @@ func (bt *BTree) invalidateTip() {
 	bt.tipMu.Unlock()
 }
 
+// target is the version an up-to-date operation reads and writes: snapshot
+// sid, its root, and rootRef, the replicated cell that records that root —
+// the fixed tip-root cell on a linear tree, sid's catalog slot on a branching
+// one. injectTip and injectBranch build it once rootRef (with, on a linear
+// tree, the tip id) is in the transaction's read set, so the commit
+// validates that the version is still the one written to.
+type target struct {
+	sid     uint64
+	root    Ptr
+	rootRef dyntx.Ref
+}
+
 // injectTip adds the proxy's cached tip snapshot id and root location to t's
-// read set (§4.1) and returns them. Every up-to-date read and all writes
-// must validate these objects; replication makes the validation local to
-// whichever memnode the commit engages.
+// read set (§4.1) and returns the tip as a target. Every up-to-date read and
+// all writes must validate these objects; replication makes the validation
+// local to whichever memnode the commit engages.
 //
 // On a branching tree the fixed tip cells are not maintained — root updates
 // live in the snapshot catalog — so the tip is instead resolved by following
 // the mainline (first-branch chain) from the initial snapshot, and the
-// resolved version's catalog slot joins the read set via injectBranch. A
-// concurrent branch that freezes the tip mid-flight surfaces as
-// ErrNotWritable; tip-level operations re-resolve and retry (runTip).
-func (bt *BTree) injectTip(t *dyntx.Txn) (sid uint64, root Ptr, err error) {
+// resolved version's catalog slot joins the read set via injectBranch. The
+// caller named no version, so a branch that froze the resolved tip in the
+// meantime is not its error: ErrNotWritable comes back wrapped in
+// dyntx.ErrRetry, and the next attempt resolves the mainline again (§5.1).
+func (bt *BTree) injectTip(t *dyntx.Txn) (target, error) {
 	if bt.cfg.Branching {
 		tip, err := bt.ResolveTip(initialSnapID)
 		if err != nil {
-			return 0, Ptr{}, err
+			return target{}, err
 		}
-		root, err := bt.injectBranch(t, tip)
-		if err != nil {
-			return 0, Ptr{}, err
+		tg, err := bt.injectBranch(t, tip)
+		if errors.Is(err, ErrNotWritable) {
+			err = fmt.Errorf("%w: %w", dyntx.ErrRetry, err)
 		}
-		return tip, root, nil
+		return tg, err
 	}
 	tip, err := bt.loadTip()
 	if err != nil {
-		return 0, Ptr{}, err
+		return target{}, err
 	}
 	t.InjectRead(bt.refTipID(), tip.sidVer, encodeU64(tip.sid), true)
 	t.InjectRead(bt.refTipRoot(), tip.rootVer, encodePtr(tip.root), true)
-	return tip.sid, tip.root, nil
+	return target{sid: tip.sid, root: tip.root, rootRef: bt.refTipRoot()}, nil
+}
+
+// curRoot returns tg's root as of t's buffered writes, so that a
+// transaction which grew the root earlier (writeRootLocation) descends from
+// the new one.
+func (bt *BTree) curRoot(t *dyntx.Txn, tg target) Ptr {
+	d, ok := t.PendingWrite(tg.rootRef)
+	if !ok {
+		return tg.root
+	}
+	if !bt.cfg.Branching {
+		return decodePtr(d)
+	}
+	if e, err := catalog.Decode(d); err == nil {
+		return e.Root
+	}
+	return tg.root
 }
 
 // handleStale reacts to a validation failure: it invalidates whatever proxy
@@ -389,63 +417,9 @@ func (bt *BTree) handleStale(err error) {
 	}
 }
 
-// run executes fn in an optimistic retry loop: build the transaction, commit
-// it, and on validation failure invalidate whatever proxy caches went stale
-// before retrying. The loop is owned here (rather than by dyntx.Run) so that
-// commit-time staleness also feeds cache invalidation.
+// run executes fn in the optimistic retry loop on behalf of this handle.
 func (bt *BTree) run(fn func(t *dyntx.Txn) error) error {
-	const maxAttempts = 512
-	backoff := 20 * time.Microsecond
-	var lastErr error
-	for attempt := 0; attempt < maxAttempts; attempt++ {
-		if attempt > 0 {
-			bt.retries.Add(1)
-			time.Sleep(time.Duration(rand.Int63n(int64(backoff))) + backoff/2)
-			if backoff < time.Millisecond {
-				backoff *= 2
-			}
-		}
-		t := dyntx.New(bt.c)
-		err := fn(t)
-		if err == nil {
-			if err = t.Commit(); err == nil {
-				bt.ops.Add(1)
-				bt.rts.Add(int64(t.Roundtrips))
-				return nil
-			}
-		}
-		// The attempt did not commit: return any blocks it reserved.
-		bt.rts.Add(int64(t.Roundtrips))
-		t.Discard()
-		if dyntx.IsStale(err) || errors.Is(err, dyntx.ErrRetry) || errors.Is(err, dyntx.ErrAborted) {
-			bt.handleStale(err)
-			lastErr = err
-			continue
-		}
-		return err
-	}
-	return fmt.Errorf("core: giving up after %d attempts: %w", maxAttempts, lastErr)
-}
-
-// runTip is run for tip-addressed operations (Get/Put/Remove/ScanTip): on a
-// branching tree, a concurrent CreateBranch can freeze the mainline tip
-// between injectTip's resolution and commit, surfacing as ErrNotWritable.
-// The operation then re-resolves the mainline and retries (the paper's
-// default retry rule, §5.1) instead of leaking the error to a caller that
-// never addressed a version explicitly.
-func (bt *BTree) runTip(fn func(t *dyntx.Txn) error) error {
-	if !bt.cfg.Branching {
-		return bt.run(fn)
-	}
-	var lastErr error
-	for attempt := 0; attempt < 64; attempt++ {
-		err := bt.run(fn)
-		if err == nil || !errors.Is(err, ErrNotWritable) {
-			return err
-		}
-		lastErr = err
-	}
-	return lastErr
+	return RunMulti(bt.c, []*BTree{bt}, fn)
 }
 
 // SetNonBlockingSnapshots flips the snapshot-blocking ablation flag on an
@@ -454,44 +428,23 @@ func SetNonBlockingSnapshots(bt *BTree) { bt.cfg.NonBlockingSnapshots = true }
 
 // RunMulti executes fn as one dynamic transaction spanning several trees
 // (the paper's multi-index transactions, §6.2 "Scalability for multi-index
-// transactions"). Validation failures invalidate the caches of every
-// involved tree before retrying. All trees must share the same Sinfonia
-// client.
+// transactions") in dyntx.Run's retry loop. Every attempt counts toward each
+// tree's statistics, and a validation failure invalidates the stale proxy
+// state of every involved tree before the retry. All trees must share the
+// same Sinfonia client.
 func RunMulti(c *sinfonia.Client, trees []*BTree, fn func(t *dyntx.Txn) error) error {
-	const maxAttempts = 512
-	backoff := 20 * time.Microsecond
-	var lastErr error
-	for attempt := 0; attempt < maxAttempts; attempt++ {
-		if attempt > 0 {
-			time.Sleep(time.Duration(rand.Int63n(int64(backoff))) + backoff/2)
-			if backoff < time.Millisecond {
-				backoff *= 2
-			}
-			for _, bt := range trees {
+	return dyntx.Run(c, fn, func(t *dyntx.Txn, err error) {
+		for _, bt := range trees {
+			bt.rts.Add(int64(t.Roundtrips))
+			switch {
+			case err == nil:
+				bt.ops.Add(1)
+			case dyntx.Retryable(err):
 				bt.retries.Add(1)
-			}
-		}
-		t := dyntx.New(c)
-		err := fn(t)
-		if err == nil {
-			if err = t.Commit(); err == nil {
-				for _, bt := range trees {
-					bt.ops.Add(1)
-				}
-				return nil
-			}
-		}
-		t.Discard()
-		if dyntx.IsStale(err) || errors.Is(err, dyntx.ErrRetry) || errors.Is(err, dyntx.ErrAborted) {
-			for _, bt := range trees {
 				bt.handleStale(err)
 			}
-			lastErr = err
-			continue
 		}
-		return err
-	}
-	return fmt.Errorf("core: giving up after %d attempts: %w", maxAttempts, lastErr)
+	})
 }
 
 // allocNodeOn reserves a node block for a write buffered in t, returning it

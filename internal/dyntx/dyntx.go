@@ -128,7 +128,7 @@ func New(c *sinfonia.Client) *Txn {
 func (t *Txn) Abort() { t.aborted = true }
 
 // OnDiscard registers a callback to run if the transaction's effects are
-// abandoned — the retry-loop owner calls Discard after a failed attempt.
+// abandoned — Run calls Discard after every failed attempt.
 // Used to return allocator blocks reserved for writes that never committed.
 func (t *Txn) OnDiscard(fn func()) { t.onDiscard = append(t.onDiscard, fn) }
 
@@ -421,12 +421,6 @@ func (t *Txn) WriteValidated(ref Ref, data []byte, observedVersion uint64) {
 	t.Write(ref, data)
 }
 
-// InReadSet reports whether ref is already in the read set.
-func (t *Txn) InReadSet(ref Ref) bool {
-	_, ok := t.reads[ref.key()]
-	return ok
-}
-
 // Commit validates the read set and applies the write set atomically.
 // A read-only transaction whose read set was fully validated by its last
 // (piggy-backed) minitransaction commits locally with no network traffic.
@@ -510,47 +504,52 @@ func (t *Txn) anchorNode() sinfonia.NodeID {
 	return t.c.Nodes()[0]
 }
 
-// RunOptions tunes the optimistic retry loop.
-type RunOptions struct {
-	MaxAttempts int           // 0 means a generous default
-	BaseBackoff time.Duration // 0 means a small default
+// maxAttempts is Run's budget: an operation that has not committed after
+// this many optimistic attempts gives up.
+const maxAttempts = 512
+
+// Retryable reports whether an attempt that failed with err should be tried
+// again: validation failed (StaleError), the body asked for it (ErrRetry), or
+// the transaction aborted itself (ErrAborted).
+func Retryable(err error) bool {
+	return IsStale(err) || errors.Is(err, ErrRetry) || errors.Is(err, ErrAborted)
 }
 
-// Run executes fn inside a dynamic transaction, retrying on optimistic
-// validation failures (StaleError) and on fence-key aborts signalled by fn
-// returning ErrRetry. fn must be idempotent. The committed transaction's
-// statistics are merged into the returned Stats.
-func Run(c *sinfonia.Client, opts RunOptions, fn func(t *Txn) error) error {
-	maxAttempts := opts.MaxAttempts
-	if maxAttempts == 0 {
-		maxAttempts = 256
-	}
-	backoff := opts.BaseBackoff
-	if backoff == 0 {
-		backoff = 20 * time.Microsecond
-	}
-
-	var lastErr error
+// Run executes fn as a dynamic transaction in the optimistic retry loop
+// (§2.2), the one every B-tree operation and multi-tree transaction retries
+// through. Each attempt runs fn on a fresh Txn and commits it. An attempt that fails is
+// Discarded, so its OnDiscard callbacks return what it reserved, and a
+// Retryable failure is retried after a randomized exponential backoff, up to
+// 512 attempts in all. fn must be idempotent.
+//
+// after, if given, is called once per attempt, once it has committed (err is
+// nil) or been discarded; callers use it to keep statistics and to drop
+// proxy state a stale read exposed before the next attempt.
+func Run(c *sinfonia.Client, fn func(t *Txn) error, after ...func(t *Txn, err error)) error {
+	backoff := 20 * time.Microsecond
+	var err error
 	for attempt := 0; attempt < maxAttempts; attempt++ {
-		t := New(c)
-		err := fn(t)
-		if err == nil {
-			err = t.Commit()
-			if err == nil {
-				return nil
+		if attempt > 0 {
+			time.Sleep(time.Duration(rand.Int63n(int64(backoff))) + backoff/2)
+			if backoff < time.Millisecond {
+				backoff *= 2
 			}
 		}
-		if !IsStale(err) && !errors.Is(err, ErrRetry) && !errors.Is(err, ErrAborted) {
+		t := New(c)
+		if err = fn(t); err == nil {
+			err = t.Commit()
+		}
+		if err != nil {
+			t.Discard()
+		}
+		for _, f := range after {
+			f(t, err)
+		}
+		if err == nil || !Retryable(err) {
 			return err
 		}
-		lastErr = err
-		sleep := time.Duration(rand.Int63n(int64(backoff))) + backoff/2
-		time.Sleep(sleep)
-		if backoff < time.Millisecond {
-			backoff *= 2
-		}
 	}
-	return fmt.Errorf("dyntx: giving up after %d attempts: %w", maxAttempts, lastErr)
+	return fmt.Errorf("dyntx: giving up after %d attempts: %w", maxAttempts, err)
 }
 
 // ErrRetry is returned by transaction bodies that detected an inconsistency

@@ -250,7 +250,7 @@ func TestRunRetriesUntilSuccess(t *testing.T) {
 		t.Fatal(err)
 	}
 	attempts := 0
-	err := Run(c, RunOptions{}, func(tx *Txn) error {
+	err := Run(c, func(tx *Txn) error {
 		attempts++
 		if attempts < 3 {
 			return ErrRetry
@@ -274,9 +274,32 @@ func TestRunRetriesUntilSuccess(t *testing.T) {
 func TestRunPropagatesFatalErrors(t *testing.T) {
 	_, c := newCluster(1)
 	boom := errors.New("boom")
-	err := Run(c, RunOptions{}, func(tx *Txn) error { return boom })
+	err := Run(c, func(tx *Txn) error { return boom })
 	if !errors.Is(err, boom) {
 		t.Fatalf("fatal error swallowed: %v", err)
+	}
+}
+
+// TestRunDiscardsFailedAttempts: an attempt that does not commit is
+// discarded, so the blocks it reserved (registered through OnDiscard) go
+// back to their allocator; the committed attempt's callbacks never run.
+func TestRunDiscardsFailedAttempts(t *testing.T) {
+	_, c := newCluster(1)
+	attempts, discards := 0, 0
+	err := Run(c, func(tx *Txn) error {
+		attempts++
+		tx.OnDiscard(func() { discards++ })
+		if attempts == 1 {
+			return ErrRetry
+		}
+		tx.Write(ref(0, 12), []byte("v"))
+		return nil
+	})
+	if err != nil || attempts != 2 {
+		t.Fatalf("run: %v after %d attempts", err, attempts)
+	}
+	if discards != 1 {
+		t.Fatalf("OnDiscard ran %d times, want 1 (the failed attempt only)", discards)
 	}
 }
 
@@ -294,7 +317,7 @@ func TestConcurrentCountersConverge(t *testing.T) {
 		go func() {
 			defer wg.Done()
 			for i := 0; i < each; i++ {
-				err := Run(c, RunOptions{}, func(tx *Txn) error {
+				err := Run(c, func(tx *Txn) error {
 					obj, err := tx.Read(ref(1, 11))
 					if err != nil {
 						return err

@@ -19,17 +19,19 @@ type Client struct {
 	t     netsim.Transport
 	nodes []NodeID
 
-	// BlockWait bounds how long a blocking minitransaction may wait at a
+	txid atomic.Uint64
+}
+
+const (
+	// blockWait bounds how long a blocking minitransaction may wait at a
 	// memnode for busy locks before aborting like an ordinary one (§4.1:
 	// "bounded by a threshold small enough so that blocking
 	// minitransactions do not trigger Sinfonia's recovery mechanism").
-	BlockWait time.Duration
+	blockWait = 10 * time.Millisecond
 
-	// MaxBusyRetries bounds transparent retries of busy aborts.
-	MaxBusyRetries int
-
-	txid atomic.Uint64
-}
+	// maxBusyRetries bounds transparent retries of busy aborts.
+	maxBusyRetries = 4096
+)
 
 var clientSeq atomic.Uint64
 
@@ -37,12 +39,7 @@ var clientSeq atomic.Uint64
 // the cluster (needed by callers that write replicated objects to all
 // memnodes).
 func NewClient(t netsim.Transport, nodes []NodeID) *Client {
-	c := &Client{
-		t:              t,
-		nodes:          append([]NodeID(nil), nodes...),
-		BlockWait:      10 * time.Millisecond,
-		MaxBusyRetries: 4096,
-	}
+	c := &Client{t: t, nodes: append([]NodeID(nil), nodes...)}
 	// Partition the txid space between clients so ids never collide.
 	c.txid.Store(clientSeq.Add(1) << 40)
 	return c
@@ -114,7 +111,7 @@ func (c *Client) Exec(m *Minitx) (*Result, error) {
 		if err != nil || !busy {
 			return res, err
 		}
-		if attempt >= c.MaxBusyRetries {
+		if attempt >= maxBusyRetries {
 			return nil, ErrTooBusy
 		}
 		// Randomized exponential backoff keeps colliding proxies from
@@ -137,7 +134,7 @@ func (c *Client) execOnce(m *Minitx, groups []*perNode) (res *Result, busy bool,
 		g := groups[0]
 		resp, err := c.call(g.node, &ExecCommitReq{
 			Txid: txid, Compares: g.cmp, Reads: g.rd, Writes: g.wr,
-			Blocking: m.Blocking, WaitNanos: int64(c.BlockWait),
+			Blocking: m.Blocking, WaitNanos: int64(blockWait),
 		})
 		if err != nil {
 			return nil, false, err
@@ -192,7 +189,7 @@ func (c *Client) execOnce(m *Minitx, groups []*perNode) (res *Result, busy bool,
 func (c *Client) callPrepare(g *perNode, txid uint64, blocking bool, participants []NodeID) (*ExecResp, error) {
 	return c.call(g.node, &PrepareReq{
 		Txid: txid, Compares: g.cmp, Reads: g.rd, Writes: g.wr,
-		Blocking: blocking, WaitNanos: int64(c.BlockWait),
+		Blocking: blocking, WaitNanos: int64(blockWait),
 		Participants: participants,
 	})
 }
