@@ -362,10 +362,3 @@ func (db *DB) Rows(tbl int) int {
 	})
 	return n
 }
-
-func min(a, b int) int {
-	if a < b {
-		return a
-	}
-	return b
-}

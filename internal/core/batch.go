@@ -27,8 +27,9 @@ import (
 // On branching trees (§5) the same sweep targets a writable version: the
 // catalog slot is validated instead of the tip objects (injectBranch), leaf
 // copies along each touched root-to-leaf path go through the redirect-set
-// machinery (markCopiedBranching), and root growth lands in the snapshot
-// catalog (writeBranchRoot) rather than the fixed tip-root cell.
+// machinery (markCopiedBranching), and root growth lands in the version's
+// catalog slot, the target's root cell, rather than the fixed tip-root
+// cell (writeRootLocation).
 
 // BatchOp is one operation in a write batch: a Put of (Key, Val), or a
 // Delete of Key when Delete is set.
@@ -99,9 +100,6 @@ func (bt *BTree) BatchTxnAt(t *dyntx.Txn, sid uint64, ops []BatchOp) error {
 	if len(ops) == 0 {
 		return nil
 	}
-	if !bt.cfg.Branching {
-		return ErrNotBranching
-	}
 	tg, err := bt.injectBranch(t, sid)
 	if err != nil {
 		return err
@@ -118,7 +116,7 @@ func (bt *BTree) BatchTxnAt(t *dyntx.Txn, sid uint64, ops []BatchOp) error {
 func (bt *BTree) batchTxn(t *dyntx.Txn, tg target, ops []BatchOp) error {
 	// Best-effort: on any planning hiccup the sweep fetches leaves itself
 	// (one round trip each).
-	bt.prefetchBatchLeaves(t, bt.curRoot(t, tg), tg.sid, ops)
+	bt.prefetchBatchLeaves(t, tg, ops)
 	for len(ops) > 0 {
 		n, _, err := bt.editLeaf(t, tg, ops)
 		if err != nil {
@@ -129,53 +127,32 @@ func (bt *BTree) batchTxn(t *dyntx.Txn, tg target, ops []BatchOp) error {
 	return nil
 }
 
-// prefetchBatchLeaves plans the leaf for every op by walking interior nodes
-// (proxy cache first, dirty reads on miss), following branching-mode
-// redirects along the way, and fetches all distinct planned leaves with one
-// concurrent multi-read minitransaction per memnode, injecting them into the
-// read set. On branching trees the fetched leaves may themselves carry
-// redirects toward sid (their copy lives elsewhere), so a few extra rounds
-// chase those copies into the read set too. Planning errors abandon the
-// prefetch — the authoritative sweep re-traverses and reports them properly.
-func (bt *BTree) prefetchBatchLeaves(t *dyntx.Txn, root Ptr, sid uint64, ops []BatchOp) {
+// prefetchBatchLeaves plans the leaf for every op with traverse's descent
+// stopped at the leaves' parents (proxy cache first, dirty reads on miss,
+// branching-mode redirects followed), and fetches all distinct planned
+// leaves with one concurrent multi-read minitransaction per memnode,
+// injecting them into the read set. On branching trees the fetched leaves
+// may themselves carry redirects toward tg's version (their copy lives
+// elsewhere), so a few extra rounds chase those copies into the read set
+// too. Planning errors abandon the prefetch — the authoritative sweep
+// re-traverses and reports them properly.
+func (bt *BTree) prefetchBatchLeaves(t *dyntx.Txn, tg target, ops []BatchOp) {
 	var refs []dyntx.Ref
 	seen := make(map[Ptr]struct{})
-	haveHigh := false
-	var high wire.Fence
+	var buf [8]pathEntry
+	high := wire.NegInf // high fence of the previous op's planned leaf
 	for _, op := range ops {
-		if haveHigh && (high.IsPosInf() || high.CompareKey(op.Key) < 0) {
+		if high.CompareKey(op.Key) < 0 {
 			continue // same planned leaf as the previous op
 		}
-		curPtr := root
-		cur, ver, err := bt.loadInner(t, curPtr)
+		path, err := bt.traverse(t, tg, op.Key, 1, buf[:0])
 		if err != nil {
 			return
 		}
-		if curPtr, cur, _, err = bt.followRedirects(t, curPtr, cur, ver, sid, false); err != nil {
-			return
-		}
-		if cur.IsLeaf() || !bt.checkNode(cur, sid, op.Key) {
-			return
-		}
-		for cur.Height > 1 {
-			i := cur.childIndex(op.Key)
-			nextPtr := cur.Kids[i]
-			next, ver, err := bt.loadInner(t, nextPtr)
-			if err != nil {
-				return
-			}
-			if nextPtr, next, _, err = bt.followRedirects(t, nextPtr, next, ver, sid, false); err != nil {
-				return
-			}
-			if next.Height != cur.Height-1 || !bt.checkNode(next, sid, op.Key) {
-				return
-			}
-			cur, curPtr = next, nextPtr
-		}
-		i := cur.childIndex(op.Key)
-		leafPtr := cur.Kids[i]
-		_, high = cur.childFences(i)
-		haveHigh = true
+		parent := path[len(path)-1].node
+		i := parent.childIndex(op.Key)
+		leafPtr := parent.Kids[i]
+		_, high = parent.childFences(i)
 		if _, dup := seen[leafPtr]; !dup {
 			seen[leafPtr] = struct{}{}
 			refs = append(refs, refNode(leafPtr))
@@ -199,7 +176,7 @@ func (bt *BTree) prefetchBatchLeaves(t *dyntx.Txn, root Ptr, sid uint64, ops []B
 			if err != nil || len(n.Redirects) == 0 {
 				continue
 			}
-			p, ok, err := bt.bestRedirect(n, sid)
+			p, ok, err := bt.bestRedirect(n, tg.sid)
 			if err != nil {
 				return
 			}

@@ -5,6 +5,8 @@ import (
 	"fmt"
 	"math/rand"
 	"testing"
+
+	"minuet/internal/dyntx"
 )
 
 // versionRoot fetches sid's current root straight from the catalog replica.
@@ -38,13 +40,35 @@ func TestBatchBranchBasic(t *testing.T) {
 	}
 }
 
-// TestBatchBranchNotBranching: version-addressed batches require branching
-// mode.
+// TestBatchBranchNotBranching: every call that names a version, or
+// walks the version tree, returns ErrNotBranching on a linear tree instead
+// of reaching for a catalog the tree does not keep.
 func TestBatchBranchNotBranching(t *testing.T) {
 	e := newEnv(t, 1, smallCfg())
-	err := e.bt.ApplyBatchAt(1, []BatchOp{{Key: batchKey(1), Val: []byte("x")}})
-	if !errors.Is(err, ErrNotBranching) {
-		t.Fatalf("ApplyBatchAt on linear tree: %v", err)
+	ops := []BatchOp{{Key: batchKey(1), Val: []byte("x")}}
+	calls := map[string]func() error{
+		"PutAt":        func() error { return e.bt.PutAt(1, key(0), val(0)) },
+		"RemoveAt":     func() error { _, err := e.bt.RemoveAt(1, key(0)); return err },
+		"GetAt":        func() error { _, _, err := e.bt.GetAt(1, key(0)); return err },
+		"ScanAt":       func() error { _, err := e.bt.ScanAt(1, nil, 10); return err },
+		"ApplyBatchAt": func() error { return e.bt.ApplyBatchAt(1, ops) },
+		"BatchTxnAt": func() error {
+			return dyntx.Run(e.c, func(tx *dyntx.Txn) error { return e.bt.BatchTxnAt(tx, 1, ops) })
+		},
+		"CreateBranch":  func() error { _, err := e.bt.CreateBranch(1); return err },
+		"ResolveTip":    func() error { _, err := e.bt.ResolveTip(1); return err },
+		"DiffVersions":  func() error { _, err := e.bt.DiffVersions(1, 1, 0); return err },
+		"ListVersions":  func() error { _, err := e.bt.ListVersions(); return err },
+		"KeyHistory":    func() error { _, err := e.bt.KeyHistory(1, key(0)); return err },
+		"KeyChanges":    func() error { _, err := e.bt.KeyChanges(1, key(0)); return err },
+		"KeyAcrossTips": func() error { _, err := e.bt.KeyAcrossTips(1, key(0)); return err },
+	}
+	for name, call := range calls {
+		t.Run(name, func(t *testing.T) {
+			if err := call(); !errors.Is(err, ErrNotBranching) {
+				t.Fatalf("%s on a linear tree: %v, want ErrNotBranching", name, err)
+			}
+		})
 	}
 }
 

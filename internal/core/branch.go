@@ -30,13 +30,26 @@ var ErrNotWritable = errors.New("core: snapshot is read-only (has a branch)")
 var ErrBranchLimit = errors.New("core: version-tree branching factor (β) exceeded")
 
 // ErrNotBranching is returned by version-addressed operations (PutAt,
-// ApplyBatchAt, ...) on a tree whose configuration has Branching disabled.
+// GetAt, ApplyBatchAt, Branch, ...) on a tree whose configuration has
+// Branching disabled.
 var ErrNotBranching = errors.New("core: tree is not in branching mode")
+
+// needCatalog is the one guard of every version-addressed operation: a
+// linear tree keeps no catalog, so they fail with ErrNotBranching.
+func (bt *BTree) needCatalog() error {
+	if bt.cat == nil {
+		return ErrNotBranching
+	}
+	return nil
+}
 
 // injectBranch validates that sid is a writable tip by adding its catalog
 // slot to the read set (the branching analogue of validating the tip
 // snapshot id), and returns the version as a target.
 func (bt *BTree) injectBranch(t *dyntx.Txn, sid uint64) (target, error) {
+	if err := bt.needCatalog(); err != nil {
+		return target{}, err
+	}
 	e, err := bt.cat.Get(sid)
 	if err != nil {
 		return target{}, err
@@ -49,12 +62,27 @@ func (bt *BTree) injectBranch(t *dyntx.Txn, sid uint64) (target, error) {
 	return target{sid: sid, root: e.Root, rootRef: ref}, nil
 }
 
+// readTarget resolves version sid for a read inside t. A writable version
+// joins t's read set through injectBranch. A read-only one — or one that a
+// branch froze after an earlier attempt injected it — is read as a snapshot.
+func (bt *BTree) readTarget(t *dyntx.Txn, sid uint64) (target, error) {
+	tg, err := bt.injectBranch(t, sid)
+	if !errors.Is(err, ErrNotWritable) {
+		return tg, err
+	}
+	e, err := bt.cat.Get(sid)
+	return target{sid: sid, root: e.Root}, err
+}
+
 // CreateBranchTxn branches a new writable version off snapshot `from`
 // (Fig 8 semantics): allocate and copy a root anchored in a fresh catalog
 // entry, mark `from` read-only if this is its first branch, and advance the
 // replicated next-snapshot-id counter. Like snapshot creation it commits
 // with a blocking minitransaction across all memnodes.
 func (bt *BTree) CreateBranchTxn(t *dyntx.Txn, from uint64) (Snapshot, error) {
+	if err := bt.needCatalog(); err != nil {
+		return Snapshot{}, err
+	}
 	t.Blocking = true
 
 	nextObj, err := t.Read(bt.refNextSnap())
@@ -129,6 +157,9 @@ func (bt *BTree) CreateBranch(from uint64) (Snapshot, error) {
 // move to its first branch (the paper's default retry rule, §5.1). The
 // result is a writable tip at the time of inspection.
 func (bt *BTree) ResolveTip(sid uint64) (uint64, error) {
+	if err := bt.needCatalog(); err != nil {
+		return 0, err
+	}
 	for hops := 0; hops < 1<<20; hops++ {
 		e, err := bt.cat.Refresh(sid)
 		if err != nil {
@@ -145,35 +176,13 @@ func (bt *BTree) ResolveTip(sid uint64) (uint64, error) {
 // GetAt looks up k in version sid. Writable tips are read with validation
 // (catalog slot + leaf), read-only versions with pure dirty traversals.
 func (bt *BTree) GetAt(sid uint64, k wire.Key) (val []byte, ok bool, err error) {
-	e, err := bt.cat.Get(sid)
-	if err != nil {
-		return nil, false, err
-	}
 	err = bt.run(func(t *dyntx.Txn) error {
-		root, validate := e.Root, e.Writable()
-		if validate {
-			tg, err := bt.injectBranch(t, sid)
-			switch {
-			case errors.Is(err, ErrNotWritable):
-				validate = false // lost its writability mid-retry: read it as a snapshot
-			case err != nil:
-				return err
-			default:
-				root = tg.root
-			}
-		}
-		path, err := bt.traverse(t, root, sid, k, validate)
+		tg, err := bt.readTarget(t, sid)
 		if err != nil {
 			return err
 		}
-		leaf := path[len(path)-1].node
-		i, found := leaf.search(k)
-		if !found {
-			val, ok = nil, false
-			return nil
-		}
-		val, ok = leaf.Vals[i], true
-		return nil
+		val, ok, err = bt.get(t, tg, k)
+		return err
 	})
 	return val, ok, err
 }
@@ -206,19 +215,12 @@ func (bt *BTree) RemoveAt(sid uint64, k wire.Key) (existed bool, err error) {
 // Read-only versions scan without validation; writable tips validate every
 // leaf (short ranges only, like ScanTip).
 func (bt *BTree) ScanAt(sid uint64, start wire.Key, limit int) (out []KV, err error) {
-	e, err := bt.cat.Get(sid)
-	if err != nil {
-		return nil, err
-	}
-	if !e.Writable() {
-		return bt.ScanSnapshot(Snapshot{Sid: sid, Root: e.Root}, start, limit)
-	}
 	err = bt.run(func(t *dyntx.Txn) error {
-		tg, err := bt.injectBranch(t, sid)
+		tg, err := bt.readTarget(t, sid)
 		if err != nil {
 			return err
 		}
-		out, err = bt.scanTxn(t, tg, start, limit)
+		out, err = scan(bt.txnLeaves(t, tg, start, wire.PosInf), limit)
 		return err
 	})
 	return out, err
@@ -227,6 +229,9 @@ func (bt *BTree) ScanAt(sid uint64, start wire.Key, limit int) (out []KV, err er
 // ListVersions returns the catalog entries of all versions, in id order.
 // Intended for tooling and tests, not the data path.
 func (bt *BTree) ListVersions() ([]catalog.Entry, error) {
+	if err := bt.needCatalog(); err != nil {
+		return nil, err
+	}
 	res, err := bt.c.Read(ctlPtr(bt.local, bt.idx, space.CtlNextSnapID))
 	if err != nil {
 		return nil, err
@@ -374,29 +379,4 @@ func redirectIndexOf(rs []Redirect, sid uint64) int {
 		}
 	}
 	return -1
-}
-
-// writeBranchRoot updates the catalog slot of a writable tip after a root
-// split. The slot is already in the read set (injectBranch), so the write
-// validates against the version observed at operation start. A batch can
-// grow the root more than once inside one transaction, so an earlier pending
-// write of the slot — not the committed entry — is the base when present.
-func (bt *BTree) writeBranchRoot(t *dyntx.Txn, sid uint64, rootPtr Ptr) error {
-	ref := bt.cat.Ref(sid)
-	var e catalog.Entry
-	if d, ok := t.PendingWrite(ref); ok {
-		var err error
-		if e, err = catalog.Decode(d); err != nil {
-			return dyntx.ErrRetry
-		}
-	} else {
-		var err error
-		if e, err = bt.cat.Get(sid); err != nil {
-			return err
-		}
-	}
-	e.Root = rootPtr
-	t.Write(ref, catalog.Encode(e))
-	bt.cat.Invalidate(sid)
-	return nil
 }

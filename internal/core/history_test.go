@@ -110,13 +110,3 @@ func TestKeyAcrossTipsHorizontal(t *testing.T) {
 		t.Fatalf("scoped horizontal: %+v %v", vals, err)
 	}
 }
-
-func TestHistoryRequiresBranching(t *testing.T) {
-	e := newEnv(t, 1, smallCfg())
-	if _, err := e.bt.KeyHistory(1, key(0)); err == nil {
-		t.Fatal("vertical query allowed in linear mode")
-	}
-	if _, err := e.bt.KeyAcrossTips(1, key(0)); err == nil {
-		t.Fatal("horizontal query allowed in linear mode")
-	}
-}

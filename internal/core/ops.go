@@ -3,6 +3,7 @@ package core
 import (
 	"bytes"
 
+	"minuet/internal/catalog"
 	"minuet/internal/dyntx"
 	"minuet/internal/wire"
 )
@@ -146,11 +147,11 @@ func splitNodeMany(n *Node, maxKeys int) (parts []*Node, seps []wire.Key) {
 // splitting when it overflows, then propagates pointer changes to the
 // parent. newContent must be a private clone. The leaf (last path entry) is
 // assumed to be in the read set.
-func (bt *BTree) applyUpdate(t *dyntx.Txn, sid uint64, path []pathEntry, level int, newContent *Node) error {
+func (bt *BTree) applyUpdate(t *dyntx.Txn, tg target, path []pathEntry, level int, newContent *Node) error {
 	e := path[level]
 	isLeaf := newContent.IsLeaf()
 	inReadSet := isLeaf && level == len(path)-1
-	inPlace := e.node.Created == sid
+	inPlace := e.node.Created == tg.sid
 
 	maxKeys := bt.cfg.MaxLeafKeys
 	if !isLeaf {
@@ -169,15 +170,15 @@ func (bt *BTree) applyUpdate(t *dyntx.Txn, sid uint64, path []pathEntry, level i
 		if err != nil {
 			return err
 		}
-		newContent.Created = sid
+		newContent.Created = tg.sid
 		newContent.Copied = NoSnap
 		newContent.Redirects = nil
 		bt.writeNewNode(t, copyPtr, newContent)
-		if err := bt.markCopied(t, e, sid, copyPtr, inReadSet); err != nil {
+		if err := bt.markCopied(t, e, tg.sid, copyPtr, inReadSet); err != nil {
 			return err
 		}
 		bt.copies.Add(1)
-		return bt.replaceChild(t, sid, path, level, e.ptr, copyPtr, nil)
+		return bt.replaceChild(t, tg, path, level, e.ptr, copyPtr, nil)
 	}
 
 	// Split. A single-key update produces two parts; a batched update may
@@ -185,7 +186,7 @@ func (bt *BTree) applyUpdate(t *dyntx.Txn, sid uint64, path []pathEntry, level i
 	// to snapshot sid.
 	parts, seps := splitNodeMany(newContent, maxKeys)
 	for _, p := range parts {
-		p.Created = sid
+		p.Created = tg.sid
 		p.Copied = NoSnap
 		p.Redirects = nil
 	}
@@ -205,7 +206,7 @@ func (bt *BTree) applyUpdate(t *dyntx.Txn, sid uint64, path []pathEntry, level i
 			return err
 		}
 		bt.writeNewNode(t, leftPtr, parts[0])
-		if err := bt.markCopied(t, e, sid, leftPtr, inReadSet); err != nil {
+		if err := bt.markCopied(t, e, tg.sid, leftPtr, inReadSet); err != nil {
 			return err
 		}
 		bt.copies.Add(1)
@@ -219,14 +220,14 @@ func (bt *BTree) applyUpdate(t *dyntx.Txn, sid uint64, path []pathEntry, level i
 		bt.writeNewNode(t, p, part)
 		ins[i] = sepInsert{key: seps[i], right: p}
 	}
-	return bt.replaceChild(t, sid, path, level, e.ptr, leftPtr, ins)
+	return bt.replaceChild(t, tg, path, level, e.ptr, leftPtr, ins)
 }
 
 // replaceChild updates the parent of path[level] so that its child slot
 // pointing at oldPtr points at newPtr, inserting any separators produced by
 // a split. At the root it grows the tree (by as many levels as the
 // separators require) and updates the (replicated) root location.
-func (bt *BTree) replaceChild(t *dyntx.Txn, sid uint64, path []pathEntry, level int, oldPtr, newPtr Ptr, ins []sepInsert) error {
+func (bt *BTree) replaceChild(t *dyntx.Txn, tg target, path []pathEntry, level int, oldPtr, newPtr Ptr, ins []sepInsert) error {
 	if level == 0 {
 		root := path[0]
 		if len(ins) == 0 {
@@ -237,14 +238,10 @@ func (bt *BTree) replaceChild(t *dyntx.Txn, sid uint64, path []pathEntry, level 
 			// copied at snapshot/branch creation), so it is never CoW'd
 			// here. Reaching this means the traversal used a stale root —
 			// the tip cache in linear mode, the catalog entry in branching.
-			if bt.cfg.Branching {
-				bt.cat.Invalidate(sid)
-			} else {
-				bt.invalidateTip()
-			}
+			bt.invalidateRoot(tg.sid)
 			return dyntx.ErrRetry
 		}
-		return bt.growRoot(t, sid, root.node, newPtr, ins)
+		return bt.growRoot(t, tg, root.node, newPtr, ins)
 	}
 
 	parent := path[level-1]
@@ -281,7 +278,7 @@ func (bt *BTree) replaceChild(t *dyntx.Txn, sid uint64, path []pathEntry, level 
 		kids = append(kids, pw.Kids[i+1:]...)
 		pw.Keys, pw.Kids = keys, kids
 	}
-	return bt.applyUpdate(t, sid, path, level-1, pw)
+	return bt.applyUpdate(t, tg, path, level-1, pw)
 }
 
 // growRoot grows the tree after a root split: newPtr plus the split's new
@@ -289,7 +286,7 @@ func (bt *BTree) replaceChild(t *dyntx.Txn, sid uint64, path []pathEntry, level 
 // update can split the root into more parts than one interior node may
 // hold, in which case whole levels are built bottom-up until a single root
 // fits.
-func (bt *BTree) growRoot(t *dyntx.Txn, sid uint64, oldRoot *Node, newPtr Ptr, ins []sepInsert) error {
+func (bt *BTree) growRoot(t *dyntx.Txn, tg target, oldRoot *Node, newPtr Ptr, ins []sepInsert) error {
 	keys := make([]wire.Key, 0, len(ins))
 	kids := make([]Ptr, 0, len(ins)+1)
 	kids = append(kids, newPtr)
@@ -322,7 +319,7 @@ func (bt *BTree) growRoot(t *dyntx.Txn, sid uint64, oldRoot *Node, newPtr Ptr, i
 				return err
 			}
 			bt.writeNewNode(t, p, &Node{
-				Tree: oldRoot.Tree, Height: height, Created: sid, Copied: NoSnap,
+				Tree: oldRoot.Tree, Height: height, Created: tg.sid, Copied: NoSnap,
 				Low: low, High: high,
 				Keys: append([]wire.Key(nil), keys[start:end]...),
 				Kids: append([]Ptr(nil), kids[start:end+1]...),
@@ -341,25 +338,38 @@ func (bt *BTree) growRoot(t *dyntx.Txn, sid uint64, oldRoot *Node, newPtr Ptr, i
 		return err
 	}
 	bt.writeNewNode(t, rootPtr, &Node{
-		Tree: oldRoot.Tree, Height: height, Created: sid, Copied: NoSnap,
+		Tree: oldRoot.Tree, Height: height, Created: tg.sid, Copied: NoSnap,
 		Low: wire.NegInf, High: wire.PosInf,
 		Keys: keys, Kids: kids,
 	})
-	return bt.writeRootLocation(t, sid, rootPtr)
+	return bt.writeRootLocation(t, tg, rootPtr)
 }
 
-// writeRootLocation records a new root for the tip: in linear mode the
-// replicated tip-root object, in branching mode the snapshot's catalog slot.
-// Updating a replicated object engages every memnode, which is why root
-// splits are rare-but-heavy events in both the paper and this code.
-func (bt *BTree) writeRootLocation(t *dyntx.Txn, sid uint64, rootPtr Ptr) error {
+// writeRootLocation records rootPtr as tg's new root in tg.rootRef, the
+// cell injectTip or injectBranch put in the read set: the replicated
+// tip-root cell on a linear tree, the version's catalog slot on a branching
+// one. Updating a replicated object engages every memnode, which is why
+// root splits are rare-but-heavy events in both the paper and this code.
+func (bt *BTree) writeRootLocation(t *dyntx.Txn, tg target, rootPtr Ptr) error {
+	data := encodePtr(rootPtr)
 	if bt.cfg.Branching {
-		return bt.writeBranchRoot(t, sid, rootPtr)
+		// The slot's image comes from the write set when a batch grew the
+		// root earlier in this transaction, else from the read set.
+		obj, err := t.Read(tg.rootRef)
+		if err != nil {
+			return err
+		}
+		e, err := catalog.Decode(obj.Data)
+		if err != nil {
+			return dyntx.ErrRetry
+		}
+		e.Root = rootPtr
+		data = catalog.Encode(e)
 	}
-	t.Write(bt.refTipRoot(), encodePtr(rootPtr))
-	// Our cached tip root is now stale regardless of commit outcome;
-	// refetch lazily.
-	bt.invalidateTip()
+	t.Write(tg.rootRef, data)
+	// The cached root is now stale regardless of commit outcome; refetch
+	// lazily.
+	bt.invalidateRoot(tg.sid)
 	return nil
 }
 
@@ -373,16 +383,8 @@ func (bt *BTree) GetTxn(t *dyntx.Txn, k wire.Key) ([]byte, bool, error) {
 	if err != nil {
 		return nil, false, err
 	}
-	path, err := bt.traverse(t, bt.curRoot(t, tg), tg.sid, k, true)
-	if err != nil {
-		return nil, false, err
-	}
-	leaf := path[len(path)-1].node
-	i, ok := leaf.search(k)
-	if !ok {
-		return nil, false, nil
-	}
-	return bytes.Clone(leaf.Vals[i]), true, nil
+	v, ok, err := bt.get(t, tg, k)
+	return bytes.Clone(v), ok, err
 }
 
 // PutTxn inserts or updates k at the tip inside an existing transaction.
@@ -424,7 +426,7 @@ func (bt *BTree) removeAt(t *dyntx.Txn, tg target, k wire.Key) (bool, error) {
 // consumed and whether the leaf changed. Single-key writes pass one op; the
 // batch sweep calls it once per touched leaf.
 func (bt *BTree) editLeaf(t *dyntx.Txn, tg target, ops []BatchOp) (n int, changed bool, err error) {
-	path, err := bt.traverse(t, bt.curRoot(t, tg), tg.sid, ops[0].Key, true)
+	path, err := bt.traverse(t, tg, ops[0].Key, 0, make([]pathEntry, 0, 8))
 	if err != nil {
 		return 0, false, err
 	}
@@ -452,7 +454,7 @@ func (bt *BTree) editLeaf(t *dyntx.Txn, tg target, ops []BatchOp) (n int, change
 		changed = true
 	}
 	if changed {
-		err = bt.applyUpdate(t, tg.sid, path, len(path)-1, nl)
+		err = bt.applyUpdate(t, tg, path, len(path)-1, nl)
 	}
 	return n, changed, err
 }

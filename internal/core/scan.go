@@ -11,38 +11,81 @@ type KV struct {
 	Val []byte
 }
 
-// ScanSnapshot returns up to limit pairs with key ≥ start from a read-only
-// snapshot, in key order. Each leaf is located by an independent dirty
-// traversal (one round trip with a warm proxy cache) and stepped using its
-// high fence, so the scan needs no sibling pointers and never validates —
-// this is how Minuet runs long analytics queries without disturbing the
-// OLTP workload (§4, §6.3).
-func (bt *BTree) ScanSnapshot(s Snapshot, start wire.Key, limit int) ([]KV, error) {
-	out := make([]KV, 0, min(limit, 1024))
-	k := start
-	for len(out) < limit {
-		var leaf *Node
-		err := bt.run(func(t *dyntx.Txn) error {
-			path, e := bt.traverse(t, s.Root, s.Sid, k, false)
-			if e != nil {
-				return e
-			}
-			leaf = path[len(path)-1].node
-			return nil
+// leafRange steps through one version's leaves in key order, one leaf per
+// step, from the leaf holding next to the first leaf whose high fence
+// reaches hi. It needs no sibling pointers: read locates each leaf by an
+// independent descent, and the next step starts at the leaf's high fence.
+// Every scan, cursor and diff range goes through it; read decides the
+// transaction (txnLeaves, snapshotLeaves).
+type leafRange struct {
+	read func(k wire.Key) (*Node, error)
+	next wire.Key
+	hi   wire.Fence
+	done bool
+}
+
+// step reads the next leaf and returns it with [i, j), the indexes of its
+// keys in [next, hi).
+func (r *leafRange) step() (leaf *Node, i, j int, err error) {
+	if leaf, err = r.read(r.next); err != nil {
+		return nil, 0, 0, err
+	}
+	i, _ = leaf.search(r.next)
+	j = len(leaf.Keys)
+	if leaf.High.Compare(r.hi) > 0 {
+		j, _ = leaf.search(r.hi.Key()) // the leaf reaches past hi
+	}
+	if r.done = leaf.High.Compare(r.hi) >= 0; !r.done {
+		r.next = leaf.High.Key()
+	}
+	return leaf, i, j, nil
+}
+
+// txnLeaves returns the leaves of tg in [start, hi), each read inside t:
+// on a writable target every leaf joins the read set, so the commit
+// validates the whole range.
+func (bt *BTree) txnLeaves(t *dyntx.Txn, tg target, start wire.Key, hi wire.Fence) leafRange {
+	return leafRange{next: start, hi: hi, read: func(k wire.Key) (*Node, error) {
+		return bt.leafAt(t, tg, k)
+	}}
+}
+
+// snapshotLeaves returns the leaves of snapshot s from start, each read by
+// an independent dirty traversal in a retry loop of its own (one round trip
+// with a warm proxy cache), so a retry never restarts the whole range.
+func (bt *BTree) snapshotLeaves(s Snapshot, start wire.Key) leafRange {
+	tg := snapshotTarget(s)
+	return leafRange{next: start, hi: wire.PosInf, read: func(k wire.Key) (leaf *Node, err error) {
+		err = bt.run(func(t *dyntx.Txn) (e error) {
+			leaf, e = bt.leafAt(t, tg, k)
+			return e
 		})
+		return leaf, err
+	}}
+}
+
+// scan collects up to limit pairs of r in key order. The pairs alias the
+// leaf images.
+func scan(r leafRange, limit int) ([]KV, error) {
+	out := make([]KV, 0, min(limit, 1024))
+	for len(out) < limit && !r.done {
+		leaf, i, j, err := r.step()
 		if err != nil {
 			return out, err
 		}
-		i, _ := leaf.search(k)
-		for ; i < len(leaf.Keys) && len(out) < limit; i++ {
+		for ; i < j && len(out) < limit; i++ {
 			out = append(out, KV{Key: leaf.Keys[i], Val: leaf.Vals[i]})
 		}
-		if leaf.High.IsPosInf() {
-			break
-		}
-		k = leaf.High.Key()
 	}
 	return out, nil
+}
+
+// ScanSnapshot returns up to limit pairs with key ≥ start from a read-only
+// snapshot, in key order. The scan never validates: each leaf is read
+// dirtily in its own retry loop (snapshotLeaves) — this is how Minuet runs
+// long analytics queries without disturbing the OLTP workload (§4, §6.3).
+func (bt *BTree) ScanSnapshot(s Snapshot, start wire.Key, limit int) ([]KV, error) {
+	return scan(bt.snapshotLeaves(s, start), limit)
 }
 
 // ScanTipTxn reads up to limit pairs with key ≥ start from the tip inside an
@@ -58,28 +101,9 @@ func (bt *BTree) ScanTipTxn(t *dyntx.Txn, start wire.Key, limit int) ([]KV, erro
 	if err != nil {
 		return nil, err
 	}
-	return bt.scanTxn(t, tg, start, limit)
-}
-
-// scanTxn reads up to limit pairs with key ≥ start from tg inside t, adding
-// every leaf to the read set, and copies them out (copyOut).
-func (bt *BTree) scanTxn(t *dyntx.Txn, tg target, start wire.Key, limit int) ([]KV, error) {
-	out := make([]KV, 0, min(limit, 1024))
-	k := start
-	for len(out) < limit {
-		path, err := bt.traverse(t, bt.curRoot(t, tg), tg.sid, k, true)
-		if err != nil {
-			return nil, err
-		}
-		leaf := path[len(path)-1].node
-		i, _ := leaf.search(k)
-		for ; i < len(leaf.Keys) && len(out) < limit; i++ {
-			out = append(out, KV{Key: leaf.Keys[i], Val: leaf.Vals[i]})
-		}
-		if leaf.High.IsPosInf() {
-			break
-		}
-		k = leaf.High.Key()
+	out, err := scan(bt.txnLeaves(t, tg, start, wire.PosInf), limit)
+	if err != nil {
+		return nil, err
 	}
 	copyOut(out)
 	return out, nil
@@ -107,11 +131,4 @@ func (bt *BTree) ScanTip(start wire.Key, limit int) (out []KV, err error) {
 		return e
 	})
 	return out, err
-}
-
-func min(a, b int) int {
-	if a < b {
-		return a
-	}
-	return b
 }

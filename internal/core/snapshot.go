@@ -13,8 +13,18 @@ type Snapshot struct {
 	Root Ptr
 }
 
-// Tip returns the current tip snapshot id and root location.
+// Tip returns the current tip snapshot id and root location. On a
+// branching tree that is the mainline's writable version, resolved through
+// the catalog (ResolveTip).
 func (bt *BTree) Tip() (Snapshot, error) {
+	if bt.cfg.Branching {
+		sid, err := bt.ResolveTip(initialSnapID)
+		if err != nil {
+			return Snapshot{}, err
+		}
+		e, err := bt.cat.Get(sid)
+		return Snapshot{Sid: sid, Root: e.Root}, err
+	}
 	tip, err := bt.loadTip()
 	if err != nil {
 		return Snapshot{}, err
@@ -29,8 +39,25 @@ func (bt *BTree) Tip() (Snapshot, error) {
 // blocking minitransactions (§4.1) because this write-all is the one
 // contention-prone operation in the system.
 //
+// On a branching tree, creating a snapshot and creating a branch are the
+// same operation (§5): the mainline tip is branched, which freezes it, and
+// the frozen version is the snapshot. The tip's catalog slot is in the read
+// set (injectTip), so if a concurrent branch froze it first the commit
+// fails and the next attempt branches the new tip rather than adding a
+// sibling.
+//
 // The snapshot is not actually created until t commits.
 func (bt *BTree) CreateSnapshotTxn(t *dyntx.Txn) (Snapshot, error) {
+	if bt.cfg.Branching {
+		tg, err := bt.injectTip(t)
+		if err != nil {
+			return Snapshot{}, err
+		}
+		if _, err := bt.CreateBranchTxn(t, tg.sid); err != nil {
+			return Snapshot{}, err
+		}
+		return Snapshot{Sid: tg.sid, Root: tg.root}, nil
+	}
 	t.Blocking = !bt.cfg.NonBlockingSnapshots
 
 	tipObj, err := t.Read(bt.refTipID())
@@ -100,19 +127,9 @@ func (bt *BTree) CreateSnapshot() (Snapshot, error) {
 // generated: correctness rests on fence keys and copied-snapshot checks
 // (§4.2), and on the snapshot's immutability.
 func (bt *BTree) GetSnap(s Snapshot, k wire.Key) (val []byte, ok bool, err error) {
-	err = bt.run(func(t *dyntx.Txn) error {
-		path, e := bt.traverse(t, s.Root, s.Sid, k, false)
-		if e != nil {
-			return e
-		}
-		leaf := path[len(path)-1].node
-		i, found := leaf.search(k)
-		if !found {
-			val, ok = nil, false
-			return nil
-		}
-		val, ok = leaf.Vals[i], true
-		return nil
+	err = bt.run(func(t *dyntx.Txn) (e error) {
+		val, ok, e = bt.get(t, snapshotTarget(s), k)
+		return e
 	})
 	return val, ok, err
 }

@@ -410,3 +410,63 @@ func TestSnapshotWhileConcurrentUpdates(t *testing.T) {
 	close(stop)
 	wg.Wait()
 }
+
+// TestSnapshotsOnBranchingTreeFormOneChain: on a branching tree a snapshot
+// freezes the mainline tip by branching it (§5). Proxies that snapshot
+// concurrently each freeze a distinct version and never add a second branch
+// to one, so the mainline stays a single chain, and every snapshot keeps
+// the value written just before it while later writes land on newer tips.
+func TestSnapshotsOnBranchingTreeFormOneChain(t *testing.T) {
+	e := newEnv(t, 2, branchCfg(2))
+	const proxies, perProxy = 3, 4
+	snaps := make([][]Snapshot, proxies)
+	var wg sync.WaitGroup
+	for p := 0; p < proxies; p++ {
+		bt := e.openProxy(t, e.nodes[p%len(e.nodes)])
+		wg.Add(1)
+		go func(p int) {
+			defer wg.Done()
+			for i := 0; i < perProxy; i++ {
+				if err := bt.Put(key(p), []byte(fmt.Sprintf("p%d-%d", p, i))); err != nil {
+					t.Errorf("put: %v", err)
+					return
+				}
+				s, err := bt.CreateSnapshot()
+				if err != nil {
+					t.Errorf("snapshot: %v", err)
+					return
+				}
+				snaps[p] = append(snaps[p], s)
+			}
+		}(p)
+	}
+	wg.Wait()
+	if t.Failed() {
+		return
+	}
+	frozen := map[uint64]bool{}
+	for p, ss := range snaps {
+		for i, s := range ss {
+			if frozen[s.Sid] {
+				t.Fatalf("snapshot %d returned twice", s.Sid)
+			}
+			frozen[s.Sid] = true
+			v, ok, err := e.bt.GetSnap(s, key(p))
+			if want := fmt.Sprintf("p%d-%d", p, i); err != nil || !ok || string(v) != want {
+				t.Fatalf("snapshot %d of key %d: %q %v %v, want %q", s.Sid, p, v, ok, err, want)
+			}
+		}
+	}
+	versions, err := e.bt.ListVersions()
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, v := range versions {
+		if v.NumChildren > 1 {
+			t.Fatalf("version %d has %d branches: the mainline forked", v.Sid, v.NumChildren)
+		}
+		if frozen[v.Sid] == v.Writable() {
+			t.Fatalf("version %d: snapshot %v, writable %v", v.Sid, frozen[v.Sid], v.Writable())
+		}
+	}
+}

@@ -100,11 +100,11 @@ func (bt *BTree) cacheInner(p Ptr, n *Node, version, seqVer uint64) {
 	bt.cache.put(p, cacheEntry{node: n, version: version, seqVer: seqVer})
 }
 
-// loadLeaf fetches a leaf node. Up-to-date operations (validate=true) read
-// it transactionally — the read joins the read set and piggy-backs
-// validation of the tip objects, making the common case a single round trip.
-// Reads on read-only snapshots (validate=false) fetch dirtily and rely on
-// fence keys and copied-snapshot checks alone (§4.2).
+// loadLeaf fetches a leaf node. Operations on a writable target
+// (validate=true) read it transactionally — the read joins the read set and
+// piggy-backs validation of the root cell, making the common case a single
+// round trip. Reads of a read-only snapshot (validate=false) fetch dirtily
+// and rely on fence keys and version checks alone (§4.2).
 func (bt *BTree) loadLeaf(t *dyntx.Txn, p Ptr, validate bool) (*Node, uint64, error) {
 	var obj dyntx.Obj
 	var err error
@@ -126,27 +126,19 @@ func (bt *BTree) loadLeaf(t *dyntx.Txn, p Ptr, validate bool) (*Node, uint64, er
 	return n, obj.Version, nil
 }
 
-// checkNode applies the per-node safety checks that make dirty traversals
-// sound: the node must belong to snapshot sid's history, must not have been
-// copied toward sid (linear mode), and its fences must cover k.
-// In branching mode the caller has already followed redirects.
-func (bt *BTree) checkNode(n *Node, sid uint64, k wire.Key) bool {
+// inVersion applies the per-node version check that makes dirty
+// traversals sound: n must belong to snapshot sid's history. On a branching
+// tree, where the caller has already followed redirects, n must have been
+// created at an ancestor-or-self of sid. On a linear tree it must have been
+// created at or before sid and not copied toward sid; a copied node means
+// the traversal should be at the copy, whose parents are already updated,
+// so the caller retries (§4.2).
+func (bt *BTree) inVersion(n *Node, sid uint64) bool {
 	if bt.cfg.Branching {
 		ok, err := bt.cat.IsAncestorOrSelf(n.Created, sid)
-		if err != nil || !ok {
-			return false
-		}
-	} else {
-		if n.Created > sid {
-			return false // node from a later snapshot: stale pointer or reuse
-		}
-		if n.Copied != NoSnap && n.Copied <= sid {
-			// The traversal should be at the copy (or a copy of the copy);
-			// abort and retry — parents are already updated (§4.2).
-			return false
-		}
+		return err == nil && ok
 	}
-	return n.inRange(k)
+	return n.Created <= sid && (n.Copied == NoSnap || n.Copied > sid)
 }
 
 // bestRedirect returns the deepest (most specific) redirect of n whose
@@ -204,71 +196,89 @@ func (bt *BTree) followRedirects(t *dyntx.Txn, p Ptr, n *Node, ver uint64, sid u
 	return Ptr{}, nil, 0, dyntx.ErrRetry // redirect cycle: torn state, retry
 }
 
-// traverse descends from root to the leaf responsible for k at snapshot sid,
-// following Fig 5: interior nodes are read dirtily (cache-first), fence keys
-// and height are checked at every step, and only the leaf is read
-// transactionally (when validateLeaf is set). It returns the visited path,
-// leaf last. On any inconsistency it invalidates the relevant cache entries
-// and returns dyntx.ErrRetry for the optimistic retry loop.
-func (bt *BTree) traverse(t *dyntx.Txn, root Ptr, sid uint64, k wire.Key, validateLeaf bool) ([]pathEntry, error) {
+// traverse descends from tg's root toward the leaf responsible for k,
+// following Fig 5: interior nodes are read dirtily (cache-first), and
+// height, version and fence keys are checked at every step. The leaf is
+// read transactionally when tg is writable and dirtily when it is a
+// snapshot. The descent stops at height stop: 0 reaches the leaf, 1 its
+// parent (batch prefetch planning, which fetches leaves itself). It returns
+// the visited path appended to path, deepest node last. On any
+// inconsistency it invalidates the relevant cache entries and returns
+// dyntx.ErrRetry for the optimistic retry loop.
+func (bt *BTree) traverse(t *dyntx.Txn, tg target, k wire.Key, stop uint8, path []pathEntry) ([]pathEntry, error) {
+	validate := tg.writable()
 	// A Minuet tree always has at least two levels, so the root is
 	// interior; a leaf here means a stale root pointer.
-	path := make([]pathEntry, 0, 8)
-
-	curPtr := root
-	cur, ver, err := bt.loadInner(t, curPtr)
+	anchor := bt.curRoot(t, tg)
+	cur, ver, err := bt.loadInner(t, anchor)
 	if err != nil {
 		return nil, err
 	}
-	anchor := root
-	curPtr, cur, ver, err = bt.followRedirects(t, curPtr, cur, ver, sid, validateLeaf)
+	curPtr, cur, ver, err := bt.followRedirects(t, anchor, cur, ver, tg.sid, validate)
 	if err != nil {
 		return nil, err
 	}
-	if cur.IsLeaf() || !bt.checkNode(cur, sid, k) {
-		// A bad root means the tip cache itself is stale — or, on a
-		// branching tree, the proxy's catalog entry for sid.
-		bt.invalidateTip()
-		if bt.cat != nil {
-			bt.cat.Invalidate(sid)
-		}
+	if cur.IsLeaf() || !bt.inVersion(cur, tg.sid) || !cur.inRange(k) {
+		bt.invalidateRoot(tg.sid)
 		bt.invalidateTraversal(curPtr, nil)
 		return nil, dyntx.ErrRetry
 	}
 	path = append(path, pathEntry{ptr: curPtr, anchor: anchor, node: cur, version: ver})
 
-	for !cur.IsLeaf() {
+	for cur.Height > stop {
 		i := cur.childIndex(k)
 		path[len(path)-1].childIdx = i
-		nextPtr := cur.Kids[i]
-		anchor = nextPtr // what the parent's slot holds, pre-redirect
+		anchor = cur.Kids[i] // what the parent's slot holds, pre-redirect
 
+		var nextPtr Ptr
 		var next *Node
 		var nver uint64
 		if cur.Height == 1 {
-			next, nver, err = bt.loadLeaf(t, nextPtr, validateLeaf)
+			next, nver, err = bt.loadLeaf(t, anchor, validate)
 		} else {
-			next, nver, err = bt.loadInner(t, nextPtr)
+			next, nver, err = bt.loadInner(t, anchor)
 		}
 		if err != nil {
 			return nil, err
 		}
-		nextPtr, next, nver, err = bt.followRedirects(t, nextPtr, next, nver, sid, validateLeaf)
+		nextPtr, next, nver, err = bt.followRedirects(t, anchor, next, nver, tg.sid, validate)
 		if err != nil {
 			return nil, err
 		}
 		// Fatal-inconsistency checks (Fig 5 line 15 plus §4.2): height must
-		// decrease by exactly one, and the child must pass fence/version
-		// checks.
-		if next.Height != cur.Height-1 || !bt.checkNode(next, sid, k) {
+		// decrease by exactly one, and the child must pass version and
+		// fence checks.
+		if next.Height != cur.Height-1 || !bt.inVersion(next, tg.sid) || !next.inRange(k) {
 			bt.invalidateTraversal(nextPtr, &path[len(path)-1])
 			return nil, dyntx.ErrRetry
 		}
 		path = append(path, pathEntry{ptr: nextPtr, anchor: anchor, node: next, version: nver})
 		cur = next
-		curPtr = nextPtr
 	}
 	return path, nil
+}
+
+// leafAt returns the leaf of tg responsible for k.
+func (bt *BTree) leafAt(t *dyntx.Txn, tg target, k wire.Key) (*Node, error) {
+	var buf [8]pathEntry // only the leaf is kept, so the path stays on the stack
+	path, err := bt.traverse(t, tg, k, 0, buf[:0])
+	if err != nil {
+		return nil, err
+	}
+	return path[len(path)-1].node, nil
+}
+
+// get looks up k in tg. The value aliases the leaf image.
+func (bt *BTree) get(t *dyntx.Txn, tg target, k wire.Key) ([]byte, bool, error) {
+	leaf, err := bt.leafAt(t, tg, k)
+	if err != nil {
+		return nil, false, err
+	}
+	i, ok := leaf.search(k)
+	if !ok {
+		return nil, false, nil
+	}
+	return leaf.Vals[i], true, nil
 }
 
 // invalidateTraversal drops the cache entries that led to an inconsistent

@@ -321,17 +321,27 @@ func (bt *BTree) invalidateTip() {
 	bt.tipMu.Unlock()
 }
 
-// target is the version an up-to-date operation reads and writes: snapshot
-// sid, its root, and rootRef, the replicated cell that records that root —
-// the fixed tip-root cell on a linear tree, sid's catalog slot on a branching
-// one. injectTip and injectBranch build it once rootRef (with, on a linear
-// tree, the tip id) is in the transaction's read set, so the commit
-// validates that the version is still the one written to.
+// target is the version an operation reads or writes: snapshot sid, its
+// root, and rootRef, the replicated cell that records that root — the fixed
+// tip-root cell on a linear tree, sid's catalog slot on a branching one.
+// injectTip and injectBranch build a writable target once rootRef (with, on
+// a linear tree, the tip id) is in the transaction's read set, so the commit
+// validates that the version is still the one written to. A read-only
+// snapshot is a target with no root cell (snapshotTarget): nothing about it
+// can change, so its reads are dirty and rely on fence keys and version
+// checks alone (§4.2).
 type target struct {
 	sid     uint64
 	root    Ptr
 	rootRef dyntx.Ref
 }
+
+// snapshotTarget returns the target that reads s as a read-only snapshot.
+func snapshotTarget(s Snapshot) target { return target{sid: s.Sid, root: s.Root} }
+
+// writable reports whether tg is a writable version whose root cell t
+// validates, rather than a read-only snapshot.
+func (tg target) writable() bool { return tg.rootRef != dyntx.Ref{} }
 
 // injectTip adds the proxy's cached tip snapshot id and root location to t's
 // read set (§4.1) and returns the tip as a target. Every up-to-date read and
@@ -368,7 +378,8 @@ func (bt *BTree) injectTip(t *dyntx.Txn) (target, error) {
 
 // curRoot returns tg's root as of t's buffered writes, so that a
 // transaction which grew the root earlier (writeRootLocation) descends from
-// the new one.
+// the new one. A snapshot target's zero rootRef is never written, since
+// address 0 is never used.
 func (bt *BTree) curRoot(t *dyntx.Txn, tg target) Ptr {
 	d, ok := t.PendingWrite(tg.rootRef)
 	if !ok {
@@ -381,6 +392,17 @@ func (bt *BTree) curRoot(t *dyntx.Txn, tg target) Ptr {
 		return e.Root
 	}
 	return tg.root
+}
+
+// invalidateRoot drops the proxy's cached root of version sid after it was
+// found stale or rewritten: the tip cache on a linear tree, sid's catalog
+// entry on a branching one.
+func (bt *BTree) invalidateRoot(sid uint64) {
+	if bt.cfg.Branching {
+		bt.cat.Invalidate(sid)
+	} else {
+		bt.invalidateTip()
+	}
 }
 
 // handleStale reacts to a validation failure: it invalidates whatever proxy
@@ -466,11 +488,4 @@ func (bt *BTree) allocNode(t *dyntx.Txn) (Ptr, error) {
 	}
 	t.OnDiscard(func() { _ = bt.al.Free(p) })
 	return p, nil
-}
-
-func max(a, b int) int {
-	if a > b {
-		return a
-	}
-	return b
 }

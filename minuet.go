@@ -314,7 +314,9 @@ func (t *Tree) WriteBatchAt(sid uint64, b *Batch) error {
 // Snapshot freezes the current state through the cluster's snapshot
 // creation service, which serializes creations and transparently shares
 // ("borrows") snapshots between concurrent requests while preserving strict
-// serializability (§4.3 of the paper).
+// serializability (§4.3 of the paper). On a branching tree taking a
+// snapshot branches the mainline tip: the returned snapshot is the version
+// the branch froze, and the branch becomes the new tip.
 func (t *Tree) Snapshot() (Snapshot, error) {
 	s, _, err := t.proxy.Snapshot(t.idx)
 	return s, err
@@ -428,7 +430,8 @@ func (t *Tree) KeyAcrossTips(from uint64, key []byte) ([]VersionValue, error) {
 	return t.bt.KeyAcrossTips(from, key)
 }
 
-// Tip returns the current tip version.
+// Tip returns the current tip version; on a branching tree, the mainline's
+// writable version.
 func (t *Tree) Tip() (Snapshot, error) { return t.bt.Tip() }
 
 // CollectGarbage keeps the most recent keepRecent snapshots queryable and

@@ -78,46 +78,57 @@ func TestOpenTreeOtherMachine(t *testing.T) {
 	}
 }
 
+// TestSnapshotFlow freezes a tree, overwrites every key, and checks that
+// the snapshot still reads the old values while the tip reads the new ones.
+// On a branching tree the snapshot is the mainline version its first branch
+// froze, and the tip is that branch.
 func TestSnapshotFlow(t *testing.T) {
-	c := newTestCluster(t, Options{Machines: 2})
-	tree, _ := c.CreateTree("s")
-	for i := 0; i < 60; i++ {
-		if err := tree.Put([]byte(fmt.Sprintf("k%03d", i)), []byte("old")); err != nil {
-			t.Fatal(err)
-		}
-	}
-	snap, err := tree.Snapshot()
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i := 0; i < 60; i++ {
-		if err := tree.Put([]byte(fmt.Sprintf("k%03d", i)), []byte("new")); err != nil {
-			t.Fatal(err)
-		}
-	}
-	rows, err := tree.ScanSnapshot(snap, nil, 100)
-	if err != nil || len(rows) != 60 {
-		t.Fatalf("scan snapshot: %d %v", len(rows), err)
-	}
-	for _, kv := range rows {
-		if string(kv.Val) != "old" {
-			t.Fatalf("snapshot drift at %s", kv.Key)
-		}
-	}
-	v, ok, err := tree.GetSnapshot(snap, []byte("k000"))
-	if err != nil || !ok || string(v) != "old" {
-		t.Fatalf("get snapshot: %q %v %v", v, ok, err)
-	}
-	// Tip moved on.
-	now, _ := tree.Scan(nil, 100)
-	for _, kv := range now {
-		if string(kv.Val) != "new" {
-			t.Fatalf("tip stale at %s", kv.Key)
-		}
-	}
-	tip, err := tree.Tip()
-	if err != nil || tip.Sid <= snap.Sid {
-		t.Fatalf("tip %v after snapshot %v: %v", tip.Sid, snap.Sid, err)
+	for _, branching := range []bool{false, true} {
+		t.Run(fmt.Sprintf("branching=%v", branching), func(t *testing.T) {
+			c := newTestCluster(t, Options{Machines: 2, Branching: branching})
+			tree, _ := c.CreateTree("s")
+			for i := 0; i < 60; i++ {
+				if err := tree.Put([]byte(fmt.Sprintf("k%03d", i)), []byte("old")); err != nil {
+					t.Fatal(err)
+				}
+			}
+			snap, err := tree.Snapshot()
+			if err != nil {
+				t.Fatal(err)
+			}
+			for i := 0; i < 60; i++ {
+				if err := tree.Put([]byte(fmt.Sprintf("k%03d", i)), []byte("new")); err != nil {
+					t.Fatal(err)
+				}
+			}
+			rows, err := tree.ScanSnapshot(snap, nil, 100)
+			if err != nil || len(rows) != 60 {
+				t.Fatalf("scan snapshot: %d %v", len(rows), err)
+			}
+			for _, kv := range rows {
+				if string(kv.Val) != "old" {
+					t.Fatalf("snapshot drift at %s", kv.Key)
+				}
+			}
+			v, ok, err := tree.GetSnapshot(snap, []byte("k000"))
+			if err != nil || !ok || string(v) != "old" {
+				t.Fatalf("get snapshot: %q %v %v", v, ok, err)
+			}
+			// Tip moved on.
+			now, _ := tree.Scan(nil, 100)
+			for _, kv := range now {
+				if string(kv.Val) != "new" {
+					t.Fatalf("tip stale at %s", kv.Key)
+				}
+			}
+			tip, err := tree.Tip()
+			if err != nil || tip.Sid <= snap.Sid {
+				t.Fatalf("tip %v after snapshot %v: %v", tip.Sid, snap.Sid, err)
+			}
+			if v, _, err := tree.GetSnapshot(tip, []byte("k000")); err != nil || string(v) != "new" {
+				t.Fatalf("tip %v reads %q: %v", tip.Sid, v, err)
+			}
+		})
 	}
 }
 
