@@ -1,6 +1,7 @@
 package core
 
 import (
+	"errors"
 	"testing"
 )
 
@@ -108,5 +109,15 @@ func TestKeyAcrossTipsHorizontal(t *testing.T) {
 	vals, err = e.bt.KeyAcrossTips(ids["b4"], key(0))
 	if err != nil || len(vals) != 1 || vals[0].Sid != ids["b4"] {
 		t.Fatalf("scoped horizontal: %+v %v", vals, err)
+	}
+}
+
+func TestHistoryRequiresBranching(t *testing.T) {
+	e := newEnv(t, 1, smallCfg())
+	if _, err := e.bt.KeyHistory(1, key(0)); !errors.Is(err, ErrNotBranching) {
+		t.Fatalf("vertical query in linear mode: %v, want ErrNotBranching", err)
+	}
+	if _, err := e.bt.KeyAcrossTips(1, key(0)); !errors.Is(err, ErrNotBranching) {
+		t.Fatalf("horizontal query in linear mode: %v, want ErrNotBranching", err)
 	}
 }
